@@ -30,125 +30,65 @@ import numpy as np
 from repro.core.model import RandomWalkApp, WalkerType
 from repro.core.walker import WalkOutput, _OutBuffer
 from repro.graph.csr import CSRGraph
-from repro.sampling import alias as alias_m
-from repro.sampling import its as its_m
-from repro.sampling import naive as naive_m
-from repro.sampling import orej as orej_m
-from repro.sampling import preprocess
-from repro.sampling import rej as rej_m
+from repro.sampling import gathers, sampler_for
 from repro.sampling.base import flatten_segments
 
 ENGINES = ("sequential", "interleaved", "bsp", "asp")
 
 
-def _static_tables(csr: CSRGraph, app: RandomWalkApp) -> dict:
-    """Algorithm 3 preprocessing for unbiased/static apps ({} for dynamic)."""
-    if app.walker_type is WalkerType.DYNAMIC or app.sampler == "orej":
-        # O-REJ skips preprocessing entirely (§4.2); dynamic has none.
-        if app.sampler in ("rej", "orej") and app.walker_type is not WalkerType.DYNAMIC:
-            # REJ/O-REJ generation probes raw transition weights.
-            return {"weights": preprocess.static_weights(csr, app.table_kind())}
-        return {}
-    if app.sampler == "naive":
-        return {}
-    return preprocess.build(csr, app.sampler, app.table_kind())
-
-
-def _orej_pstar(app: RandomWalkApp, csr: CSRGraph) -> float:
-    """User MaxWeight for O-REJ; a loose static default when not given."""
-    if app.max_weight is not None:
-        return float(app.max_weight)
-    if app.walker_type is WalkerType.UNBIASED:
-        return 1.0
-    return float(csr.weight.max()) if csr.num_edges else 1.0
+def _tick(timers: dict, key: str, t0: float) -> float:
+    """Add the time since ``t0`` to phase ``key``; return now."""
+    t1 = time.perf_counter()
+    timers[key] = timers.get(key, 0.0) + (t1 - t0)
+    return t1
 
 
 # ---------------------------------------------------------------------------
-# Scalar stepper — shared by sequential / BSP / ASP so all three walk
-# identically.
+# Scalar stepper — shared by sequential / BSP / ASP (and the trace replay)
+# so all of them walk identically.
 # ---------------------------------------------------------------------------
 
 def _make_scalar_stepper(
     csr: CSRGraph, app: RandomWalkApp, seed: int, timers: dict | None = None
-) -> Callable[[int, int, int, int], int]:
-    """Return ``step(qid, cur, prev, length) -> next_vertex`` (-1 = stop)."""
-    indptr, dst = csr.indptr, csr.dst
-    sampler = app.sampler
+) -> Callable[..., int]:
+    """Return ``step(qid, cur, prev, length, probed=None) -> edge slot`` of
+    the move from ``cur`` (-1 = stop). ``probed`` collects the sampler's
+    probed candidates (see :class:`repro.sampling.Sampler`)."""
+    indptr = csr.indptr
+    sampler = sampler_for(app)
+    run_tab = sampler.tables(csr, app)
+    gather = gathers(app)
     dynamic = app.walker_type is WalkerType.DYNAMIC
-    tab = _static_tables(csr, app)
-    pstar = _orej_pstar(app, csr) if sampler == "orej" else None
     clock = time.perf_counter if timers is not None else None
 
-    def step(qid: int, cur: int, prev: int, length: int) -> int:
+    def step(qid: int, cur: int, prev: int, length: int, probed: list | None = None) -> int:
         s, e = int(indptr[cur]), int(indptr[cur + 1])
         d = e - s
         if d == 0:
             return -1
-        if dynamic and sampler != "orej":
-            # Gather: apply the Weight UDF to E_cur.
-            t0 = clock() if clock else 0.0
-            flat = np.arange(s, e, dtype=np.int64)
-            w = app.weight_fn(
-                csr, flat, np.full(d, prev, dtype=np.int64), np.full(d, length, dtype=np.int64)
-            )
-            t1 = clock() if clock else 0.0
-            if sampler == "its":
-                cum = its_m.init(w)
-                t2 = clock() if clock else 0.0
-                x = its_m.generate_scalar(cum, seed, qid, length)
-            elif sampler == "alias":
-                if float(w.sum()) <= 0.0:
-                    return -1
-                tables = alias_m.init(w)
-                t2 = clock() if clock else 0.0
-                x = alias_m.generate_scalar(tables, seed, qid, length)
-            elif sampler == "rej":
-                pm = rej_m.init(w)
-                t2 = clock() if clock else 0.0
-                x = rej_m.generate_scalar(w, pm, seed, qid, length)
-            else:
-                raise ValueError(f"sampler {sampler!r} unsupported for dynamic RW")
-            if timers is not None:
-                t3 = time.perf_counter()
-                timers["weight"] = timers.get("weight", 0.0) + (t1 - t0)
-                timers["init"] = timers.get("init", 0.0) + (t2 - t1)
-                timers["gen"] = timers.get("gen", 0.0) + (t3 - t2)
-        elif sampler == "orej":
-            def probe(flat_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-                if dynamic:
-                    return app.weight_fn(
-                        csr,
-                        flat_idx,
-                        np.full(len(flat_idx), prev, dtype=np.int64),
-                        np.full(len(flat_idx), length, dtype=np.int64),
-                    )
-                return tab["weights"][flat_idx]
+        weight = None  # static RW never calls the Weight UDF at query time
+        if dynamic:
+            def weight(flat_idx: np.ndarray, rows=None) -> np.ndarray:
+                """The Weight UDF at this walker's (prev, length)."""
+                n = len(flat_idx)
+                return app.weight_fn(
+                    csr, flat_idx, np.full(n, prev, dtype=np.int64), np.full(n, length, dtype=np.int64)
+                )
 
-            t1 = clock() if clock else 0.0
-            x = orej_m.generate_scalar(d, s, pstar, probe, seed, qid, length)
-            if timers is not None:
-                timers["gen"] = timers.get("gen", 0.0) + (time.perf_counter() - t1)
-        else:
-            t1 = clock() if clock else 0.0
-            if sampler == "naive":
-                x = naive_m.generate_scalar(d, seed, qid, length)
-            elif sampler == "its":
-                x = its_m.generate_scalar(tab["cum"][s:e], seed, qid, length)
-            elif sampler == "alias":
-                x = alias_m.generate_scalar(
-                    (tab["prob"][s:e], tab["a1"][s:e], tab["a2"][s:e]), seed, qid, length
-                )
-            elif sampler == "rej":
-                x = rej_m.generate_scalar(
-                    tab["weights"][s:e], float(tab["pmax"][cur]), seed, qid, length
-                )
-            else:
-                raise ValueError(f"unknown sampler {sampler!r}")
-            if timers is not None:
-                timers["gen"] = timers.get("gen", 0.0) + (time.perf_counter() - t1)
-        if x < 0:
-            return -1
-        return int(dst[s + x])
+        t0 = clock() if clock else 0.0
+        tab, off, row = run_tab, s, cur
+        if gather:
+            # Gather: apply the Weight UDF to E_cur, then init over it.
+            w = weight(np.arange(s, e, dtype=np.int64))
+            if clock:
+                t0 = _tick(timers, "weight", t0)
+            tab, off, row = sampler.init(w, np.array([d])), 0, 0
+            if clock:
+                t0 = _tick(timers, "init", t0)
+        x = sampler.generate_scalar(tab, off, d, row, seed, qid, length, weight, probed)
+        if clock:
+            _tick(timers, "gen", t0)
+        return s + x if x >= 0 else -1
 
     return step
 
@@ -165,16 +105,17 @@ def run_sequential(
     sources = np.asarray(sources, dtype=np.int64)
     qids = np.arange(len(sources), dtype=np.int64) if qids is None else np.asarray(qids)
     step = _make_scalar_stepper(csr, app, seed, timers)
+    dst = csr.dst
     out = _OutBuffer()
     for qid, src in zip(qids, sources):
         qid, cur = int(qid), int(src)
         prev, length = -1, 0
         path = [cur]
         while True:
-            nxt = step(qid, cur, prev, length)
-            if nxt < 0:
+            slot = step(qid, cur, prev, length)
+            if slot < 0:
                 break
-            prev, cur = cur, nxt
+            prev, cur = cur, int(dst[slot])
             length += 1
             path.append(cur)
             if app.stop_scalar(seed, qid, length):
@@ -211,16 +152,10 @@ def run_interleaved(
         return out.finish(timers=timers)
 
     indptr, dst_arr = csr.indptr, csr.dst
-    dynamic = app.walker_type is WalkerType.DYNAMIC
-    sampler = app.sampler
-    tab = _static_tables(csr, app)
-    pstar_const = _orej_pstar(app, csr) if sampler == "orej" else None
+    sampler = sampler_for(app)
+    run_tab = sampler.tables(csr, app)
+    gather = gathers(app)
     clock = time.perf_counter if timers is not None else None
-
-    def tick(key: str, t0: float) -> float:
-        t1 = time.perf_counter()
-        timers[key] = timers.get(key, 0.0) + (t1 - t0)
-        return t1
 
     k = max(1, int(ring_size))
     fill = min(k, n)
@@ -231,76 +166,31 @@ def run_interleaved(
     submitted = fill
     iters = 0
 
+    def probe(flat_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The Weight UDF at CSR edges for the walkers in ring ``rows``."""
+        return app.weight_fn(csr, flat_idx, r_prev[rows], r_len[rows])
+
     while len(r_qid) > 0:
         iters += 1
         vs = r_cur
         starts = indptr[vs]
         counts = (indptr[vs + 1] - starts).astype(np.int64)
-        local = np.full(len(vs), -1, dtype=np.int64)
-
-        if dynamic and sampler != "orej":
+        # -- Move over the run's tables (Algorithm 3 cache, O-REJ bound) or,
+        # after Gather, over the tables init builds for this step. --
+        t0 = clock() if clock else 0.0
+        tab, seg_starts, rows = run_tab, starts, vs
+        if gather:
             # -- Gather: flatten ragged segments, apply the Weight UDF. --
-            t0 = clock() if clock else 0.0
             flat_idx, seg_ids, _, _ = flatten_segments(indptr, vs)
             w = app.weight_fn(csr, flat_idx, r_prev[seg_ids], r_len[seg_ids])
             if clock:
-                t0 = tick("weight", t0)
-            seg_ends = np.cumsum(counts)
-            seg_starts = seg_ends - counts
-            if sampler == "its":
-                cum, totals = preprocess.its_dynamic_init(w, counts)
-                if clock:
-                    t0 = tick("init", t0)
-                local = its_m.generate_batch(cum, seg_starts, counts, totals, seed, r_qid, r_len)
-            elif sampler == "alias":
-                prob, a1, a2, ok = preprocess.alias_dynamic_init(w, counts)
-                if clock:
-                    t0 = tick("init", t0)
-                local = alias_m.generate_batch(prob, a1, a2, seg_starts, counts, seed, r_qid, r_len)
-                local = np.where(ok, local, -1)
-            elif sampler == "rej":
-                pm = preprocess.rej_dynamic_init(w, counts)
-                if clock:
-                    t0 = tick("init", t0)
-                local = rej_m.generate_batch(w, seg_starts, counts, pm, seed, r_qid, r_len)
-            else:
-                raise ValueError(f"sampler {sampler!r} unsupported for dynamic RW")
+                t0 = _tick(timers, "weight", t0)
+            tab, seg_starts, rows = sampler.init(w, counts), np.cumsum(counts) - counts, slice(None)
             if clock:
-                tick("gen", t0)
-        elif sampler == "orej":
-            t0 = clock() if clock else 0.0
-
-            def probe(flat_edge_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-                if dynamic:
-                    return app.weight_fn(csr, flat_edge_idx, r_prev[rows], r_len[rows])
-                return tab["weights"][flat_edge_idx]
-
-            pstar = np.full(len(vs), pstar_const)
-            local = orej_m.generate_batch(starts, counts, pstar, probe, seed, r_qid, r_len)
-            if clock:
-                tick("gen", t0)
-        else:
-            # -- Move only: preprocessed tables (static/unbiased). --
-            t0 = clock() if clock else 0.0
-            if sampler == "naive":
-                local = naive_m.generate_batch(counts, seed, r_qid, r_len)
-                local = np.where(counts > 0, local, -1)
-            elif sampler == "its":
-                local = its_m.generate_batch(
-                    tab["cum"], starts, counts, tab["totals"][vs], seed, r_qid, r_len
-                )
-            elif sampler == "alias":
-                local = alias_m.generate_batch(
-                    tab["prob"], tab["a1"], tab["a2"], starts, counts, seed, r_qid, r_len
-                )
-            elif sampler == "rej":
-                local = rej_m.generate_batch(
-                    tab["weights"], starts, counts, tab["pmax"][vs], seed, r_qid, r_len
-                )
-            else:
-                raise ValueError(f"unknown sampler {sampler!r}")
-            if clock:
-                tick("gen", t0)
+                t0 = _tick(timers, "init", t0)
+        local = sampler.generate_batch(tab, seg_starts, counts, rows, seed, r_qid, r_len, probe)
+        if clock:
+            _tick(timers, "gen", t0)
 
         moved = local >= 0
         # Clamp unmoved walkers' index to 0: a sink's `starts` can equal
@@ -365,10 +255,11 @@ def run_bsp(
     while active.any():
         supersteps += 1
         for i in np.flatnonzero(active):
-            nxt = step(int(qids[i]), int(cur[i]), int(prev[i]), int(length[i]))
-            if nxt < 0:
+            slot = step(int(qids[i]), int(cur[i]), int(prev[i]), int(length[i]))
+            if slot < 0:
                 active[i] = False
                 continue
+            nxt = csr.dst[slot]
             prev[i], cur[i] = cur[i], nxt
             length[i] += 1
             out.add([qids[i]], [length[i]], [nxt])
@@ -416,13 +307,13 @@ def run_asp(
         swaps += 1
         for qid, cur, prev, length in batch:
             while True:
-                nxt = step(qid, cur, prev, length)
-                if nxt < 0:
+                slot = step(qid, cur, prev, length)
+                if slot < 0:
                     remaining -= 1
                     break
-                prev, cur = cur, nxt
+                prev, cur = cur, int(csr.dst[slot])
                 length += 1
-                out.add([qid], [length], [nxt])
+                out.add([qid], [length], [cur])
                 if app.stop_scalar(seed, qid, length):
                     remaining -= 1
                     break

@@ -24,7 +24,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 
 # Draw index reserved for the termination coin — sampler draws stay below
-# 2*MAX_ATTEMPTS+1, so the streams never collide.
+# 2*MAX_ATTEMPTS+1 (``repro.sampling.base``), so the streams never collide.
 TERM_DRAW = 10_000
 
 

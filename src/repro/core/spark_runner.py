@@ -31,17 +31,17 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.systems import SYSTEMS
 from repro.core import engine as eng
-from repro.core.model import RandomWalkApp, WalkerType
+from repro.core.model import RandomWalkApp
 from repro.graph.csr import CSRGraph
-from repro.sampling import preprocess
+from repro.sampling import needs_tables, sampler_for
 
 WALK_SCHEMA = "query_id LONG, step INT, vertex LONG"
 
 
 def _prebuild_tables(csr: CSRGraph, app: RandomWalkApp) -> None:
     """Run Algorithm 3 on the driver so executors reuse csr.aux."""
-    if app.walker_type is not WalkerType.DYNAMIC and app.sampler in ("its", "alias"):
-        preprocess.build(csr, app.sampler, app.table_kind())
+    if needs_tables(app):
+        sampler_for(app).tables(csr, app)
 
 
 def queries_df(spark: SparkSession, sources: np.ndarray, n_partitions: int) -> DataFrame:

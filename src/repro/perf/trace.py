@@ -8,21 +8,20 @@ the same spatial structure the C++ engine would: indptr/degree lookups,
 sampler-table probes, destination loads, streamed adjacency for Gather,
 binary-search probes into N(prev) for Node2Vec.
 
-RW lanes are generated by replaying the exact walk the engines take (same
-counter RNG, same samplers), so the profiled trace is the real workload,
-not a synthetic access pattern.
+RW lanes are generated by replaying each walk with the scalar engines'
+stepper, which reports the candidates its sampler probed; the trace only
+chooses the SDG stages and addresses for them. The profiled trace is
+therefore the real workload, not a synthetic access pattern.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import rng
+from repro.core.engine import _make_scalar_stepper
 from repro.core.model import RandomWalkApp, WalkerType
 from repro.core.sdg import sdg_for
 from repro.graph.csr import CSRGraph
-from repro.sampling import alias as alias_m
-from repro.sampling import preprocess
-from repro.sampling import rej as rej_m
+from repro.sampling import gathers
 
 # Disjoint address regions (bytes).
 R_INDPTR = 0
@@ -64,12 +63,9 @@ def _stream_lines(region: int, start: int, end: int, width: int, instr_per_item:
     return stages
 
 
-def _bisect_probes(region: int, base_items: int, lo: int, hi: int, x_val, arr, mode: str):
-    """Replay a binary search, yielding one probe stage per iteration.
-
-    mode 'gt': first i with arr[i] > x; mode 'member': membership probe.
-    Returns (stages, found_index_or_bool).
-    """
+def _bisect_probes(region: int, base_items: int, lo: int, hi: int, go_right) -> list:
+    """Replay a binary search over [lo, hi), one probe stage per iteration;
+    ``go_right(mid)`` is the comparison's outcome at ``mid``."""
     stages = []
     l, h = lo, hi
     it = 0
@@ -79,19 +75,103 @@ def _bisect_probes(region: int, base_items: int, lo: int, hi: int, x_val, arr, m
         # predictor: model about a third of the iterations as mispredicted.
         stages.append((_BISECT_INSTR, region + (base_items + mid) * 8, it % 3 == 1, True))
         it += 1
-        if mode == "gt":
-            if arr[mid] <= x_val:
-                l = mid + 1
-            else:
-                h = mid
+        if go_right(mid):
+            l = mid + 1
         else:
-            if arr[mid] < x_val:
-                l = mid + 1
+            h = mid
+    return stages
+
+
+def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int = 0):
+    """Replay each query's walk, yielding ``(lane, path)`` per query; the
+    path is the walk the engines emit for that query."""
+    sampler = app.sampler
+    ins = _instr(sampler)
+    indptr, dst = csr.indptr, csr.dst
+    step = _make_scalar_stepper(csr, app, seed)
+    dynamic = app.walker_type is WalkerType.DYNAMIC
+    gather = gathers(app)
+    rej = sampler == "rej"
+    n2v = app.name == "node2vec"
+
+    def member_probes(prev: int, cand: int) -> list:
+        """Node2Vec's dist-1 test: binary search of ``cand`` in N(prev)."""
+        lo, hi = int(indptr[prev]), int(indptr[prev + 1])
+        return _bisect_probes(R_DST, 0, lo, hi, lambda mid: dst[mid] < cand)
+
+    for qid, src in enumerate(np.asarray(sources, dtype=np.int64)):
+        lane: list = []
+        cur, prev, length = int(src), -1, 0
+        path = [cur]
+        while True:
+            s, e = int(indptr[cur]), int(indptr[cur + 1])
+            d = e - s
+            if d == 0:
+                break
+            lane.append((ins["S0"], R_INDPTR + 8 * cur, False, False))
+            if gather:
+                # Gather: stream E_cur (+ Node2Vec's member-probes in N(prev)).
+                lane += _stream_lines(R_DST, s, e, 8, _GATHER_INSTR_PER_EDGE)
+                if app.name == "metapath":
+                    lane += _stream_lines(R_LABEL, s, e, 4, 2)
+                if n2v and prev >= 0:
+                    for cand in dst[s:e]:
+                        lane += member_probes(prev, int(cand))
+                # Init phase: pass over the gathered weights in the
+                # walker's own (cache-hot) scratch buffer.
+                lane += _stream_lines(
+                    _scratch_base(qid), 0, d, 8, _INIT_INSTR.get(sampler, 3)
+                )
+            probed: list = []
+            slot = step(qid, cur, prev, length, probed)
+            if sampler in ("rej", "orej"):
+                # Load p* (REJ), then one probe + test per attempt, emitted
+                # even when the walker gives up.
+                if rej:
+                    lane.append((ins["S1"], R_PMAX + 8 * cur, False, False))
+                probe_instr, test_instr = (ins["S2"], ins["S3"]) if rej else (ins["S1"], ins["S2"])
+                for a, xi in enumerate(probed):
+                    if rej and gather:
+                        addr = _scratch_base(qid) + 8 * xi
+                    elif not dynamic:
+                        addr = R_WEIGHT + 8 * (s + xi)
+                    else:
+                        # O-REJ dynamic probe = one Weight-UDF evaluation:
+                        # Node2Vec binary-searches N(prev) for the candidate.
+                        if n2v and prev >= 0:
+                            lane += member_probes(prev, int(dst[s + xi]))
+                        addr = R_DST + 8 * (s + xi)
+                    hit = slot >= 0 and a == len(probed) - 1
+                    lane.append((probe_instr, addr, False, True))
+                    lane.append((test_instr, None, not hit, True))
+            if slot < 0:
+                break
+            if sampler == "naive":
+                lane.append((ins["S1"], R_DST + 8 * slot, False, False))
+                lane.append((ins["S2"], None, False, False))
+            elif sampler == "its":
+                region, base = (_scratch_base(qid), 0) if gather else (R_TABLE, s)
+                lane.append((ins["S1"], None, False, False))
+                # The CDF search ends at the chosen index, which fixes its path.
+                lane += _bisect_probes(region, base, 0, d, lambda mid: mid < slot - s)
+                lane.append((ins["S3"], R_DST + 8 * slot, False, False))
+                lane.append((ins["S4"], None, False, False))
+            elif sampler == "alias":
+                xi = probed[0]
+                slot_addr = _scratch_base(qid) + 16 * xi if gather else R_TABLE + 16 * (s + xi)
+                lane.append((ins["S1"], slot_addr, False, False))
+                lane.append((ins["S2"], R_DST + 8 * slot, False, False))
+            elif rej:
+                lane.append((ins["S4"], R_DST + 8 * slot, False, False))
+                lane.append((ins["S5"], None, False, False))
             else:
-                h = mid
-    if mode == "member":
-        return stages, (l < hi and arr[l] == x_val)
-    return stages, l
+                lane.append((ins["S3"], None, False, False))
+            prev, cur = cur, int(dst[slot])
+            length += 1
+            path.append(cur)
+            if app.stop_scalar(seed, qid, length):
+                break
+        yield lane, path
 
 
 def build_rw_lanes(
@@ -101,153 +181,11 @@ def build_rw_lanes(
     seed: int = 0,
 ) -> tuple[list, int]:
     """Replay walks, emitting per-query lanes. Returns (lanes, total_steps)."""
-    sampler = app.sampler
-    ins = _instr(sampler)
-    indptr, dst, label, weight = csr.indptr, csr.dst, csr.label, csr.weight
-    dynamic = app.walker_type is WalkerType.DYNAMIC
-    tab: dict = {}
-    if not dynamic and sampler in ("its", "alias"):
-        tab = preprocess.build(csr, sampler, app.table_kind())
-    elif not dynamic and sampler in ("rej", "orej"):
-        tab = {"weights": preprocess.static_weights(csr, app.table_kind())}
-        if sampler == "rej":
-            tab.update(preprocess.build(csr, "rej", app.table_kind()))
-    pstar_const = None
-    if sampler == "orej":
-        pstar_const = app.max_weight if app.max_weight is not None else (
-            1.0 if app.walker_type is WalkerType.UNBIASED else float(csr.weight.max())
-        )
-
     lanes: list = []
     total_steps = 0
-
-    for qid, src in enumerate(np.asarray(sources, dtype=np.int64)):
-        lane: list = []
-        cur, prev, length = int(src), -1, 0
-        while True:
-            s, e = int(indptr[cur]), int(indptr[cur + 1])
-            d = e - s
-            if d == 0:
-                break
-            lane.append((ins["S0"], R_INDPTR + 8 * cur, False, False))
-            w = None
-            if dynamic and sampler != "orej":
-                # Gather: stream E_cur (+ Node2Vec's member-probes in N(prev)).
-                lane += _stream_lines(R_DST, s, e, 8, _GATHER_INSTR_PER_EDGE)
-                if app.name == "metapath":
-                    lane += _stream_lines(R_LABEL, s, e, 4, 2)
-                flat = np.arange(s, e, dtype=np.int64)
-                w = app.weight_fn(
-                    csr, flat, np.full(d, prev, dtype=np.int64), np.full(d, length, dtype=np.int64)
-                )
-                if app.name == "node2vec" and prev >= 0:
-                    plo, phi = int(indptr[prev]), int(indptr[prev + 1])
-                    for cand in dst[s:e]:
-                        probes, _ = _bisect_probes(R_DST, 0, plo, phi, int(cand), dst, "member")
-                        lane += probes
-                # Init phase: pass over the gathered weights in the
-                # walker's own (cache-hot) scratch buffer.
-                lane += _stream_lines(
-                    _scratch_base(qid), 0, d, 8, _INIT_INSTR.get(sampler, 3)
-                )
-            x = -1
-            if sampler == "naive":
-                x = rng.randint_scalar(seed, qid, length, 0, d)
-                lane.append((ins["S1"], R_DST + 8 * (s + x), False, False))
-                lane.append((ins["S2"], None, False, False))
-            elif sampler == "its":
-                cum = tab["cum"][s:e] if not dynamic else np.cumsum(w)
-                total = float(cum[-1])
-                if total <= 0:
-                    break
-                xr = rng.uniform_scalar(seed, qid, length, 0) * total
-                lane.append((ins["S1"], None, False, False))
-                region, base = (
-                    (_scratch_base(qid), 0) if dynamic else (R_TABLE, s)
-                )
-                probes, i = _bisect_probes(region, base, 0, d, xr, cum, "gt")
-                lane += probes
-                x = min(i, d - 1)
-                lane.append((ins["S3"], R_DST + 8 * (s + x), False, False))
-                lane.append((ins["S4"], None, False, False))
-            elif sampler == "alias":
-                if dynamic:
-                    if float(w.sum()) <= 0:
-                        break
-                    prob, a1, a2 = alias_m.init(w)
-                else:
-                    prob = tab["prob"][s:e]
-                    a1, a2 = tab["a1"][s:e], tab["a2"][s:e]
-                xi = rng.randint_scalar(seed, qid, length, 0, d)
-                y = rng.uniform_scalar(seed, qid, length, 1)
-                x = int(a1[xi] if y < prob[xi] else a2[xi])
-                slot_addr = (
-                    _scratch_base(qid) + 16 * xi if dynamic else R_TABLE + 16 * (s + xi)
-                )
-                lane.append((ins["S1"], slot_addr, False, False))
-                lane.append((ins["S2"], R_DST + 8 * (s + x), False, False))
-            elif sampler in ("rej", "orej"):
-                if sampler == "rej":
-                    wv = tab["weights"][s:e] if not dynamic else w
-                    pm = float(tab["pmax"][cur]) if not dynamic else rej_m.init(w)
-                    lane.append((ins["S1"], R_PMAX + 8 * cur, False, False))
-                    probe_instr, test_instr = ins["S2"], ins["S3"]
-                else:
-                    wv = tab["weights"][s:e] if not dynamic else None
-                    pm = float(pstar_const)
-                    probe_instr, test_instr = ins["S1"], ins["S2"]
-                if pm <= 0:
-                    break
-                for a in range(rej_m.MAX_ATTEMPTS):
-                    xi = rng.randint_scalar(seed, qid, length, 2 * a, d)
-                    y = rng.uniform_scalar(seed, qid, length, 2 * a + 1) * pm
-                    if wv is not None:
-                        wx = float(wv[xi])
-                    else:  # O-REJ dynamic probe: one Weight-UDF evaluation
-                        wx = float(
-                            app.weight_fn(
-                                csr,
-                                np.array([s + xi]),
-                                np.array([prev]),
-                                np.array([length]),
-                            )[0]
-                        )
-                    hit = y < wx
-                    if sampler == "orej" and dynamic:
-                        # O-REJ dynamic probe = one Weight-UDF evaluation:
-                        # Node2Vec binary-searches N(prev) for the candidate.
-                        if app.name == "node2vec" and prev >= 0:
-                            plo, phi = int(indptr[prev]), int(indptr[prev + 1])
-                            probes, _ = _bisect_probes(
-                                R_DST, 0, plo, phi, int(dst[s + xi]), dst, "member"
-                            )
-                            lane += probes
-                        lane.append((probe_instr, R_DST + 8 * (s + xi), False, True))
-                    elif sampler == "rej" and dynamic:
-                        lane.append(
-                            (probe_instr, _scratch_base(qid) + 8 * xi, False, True)
-                        )
-                    else:
-                        lane.append((probe_instr, R_WEIGHT + 8 * (s + xi), False, True))
-                    lane.append((test_instr, None, not hit, True))
-                    if hit:
-                        x = xi
-                        break
-                if x < 0:
-                    break
-                if sampler == "rej":
-                    lane.append((ins["S4"], R_DST + 8 * (s + x), False, False))
-                    lane.append((ins["S5"], None, False, False))
-                else:
-                    lane.append((ins["S3"], None, False, False))
-            if x < 0:
-                break
-            prev, cur = cur, int(dst[s + x])
-            length += 1
-            total_steps += 1
-            if app.stop_scalar(seed, qid, length):
-                break
+    for lane, path in rw_lanes(csr, app, sources, seed):
         lanes.append(lane)
+        total_steps += len(path) - 1
     return lanes, total_steps
 
 

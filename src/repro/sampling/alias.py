@@ -47,14 +47,18 @@ def init(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def generate_scalar(
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray], seed: int, qid: int, step: int
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray], seed: int, qid: int, step: int,
+    probed: list | None = None,
 ) -> int:
-    """O(1) generation: bucket draw + biased coin."""
+    """O(1) generation: bucket draw + biased coin. The bucket is appended
+    to ``probed`` when one is given."""
     prob, a_first, a_second = tables
     d = len(prob)
     if d == 0:
         return -1
     x = rng.randint_scalar(seed, qid, step, 0, d)
+    if probed is not None:
+        probed.append(x)
     y = rng.uniform_scalar(seed, qid, step, 1)
     return int(a_first[x] if y < prob[x] else a_second[x])
 

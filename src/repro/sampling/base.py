@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+MAX_ATTEMPTS = 512
+"""Rejection attempt cap shared by REJ and O-REJ: attempt a uses draws
+(2a, 2a+1), which stay below the termination coin's ``model.TERM_DRAW``."""
+
 
 def flatten_segments(indptr: np.ndarray, vs: np.ndarray):
     """Flatten the adjacency segments of vertices ``vs``.
@@ -35,6 +39,10 @@ def segment_cumsum(values: np.ndarray, counts: np.ndarray):
     if len(values) == 0:
         return values.copy(), np.zeros(len(counts))
     c = np.cumsum(values)
+    # One walker's segment (a scalar engine's per-step ITS init): a plain prefix
+    # sum; the segment bookkeeping below would cost more than the sum itself.
+    if len(counts) == 1:
+        return c, c[-1:]
     ends = np.cumsum(counts)
     seg_start_idx = ends - counts
     # value of c just before each segment start (0 for the first segment)

@@ -13,8 +13,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core import rng
-
-MAX_ATTEMPTS = 512
+from repro.sampling.base import MAX_ATTEMPTS
 
 
 def generate_scalar(
@@ -26,12 +25,16 @@ def generate_scalar(
     qid: int,
     step: int,
     walker_row: int = 0,
+    probed: list | None = None,
 ) -> int:
-    """Dart-throwing with user bound; probes one edge weight per attempt."""
+    """Dart-throwing with user bound; probes one edge weight per attempt.
+    Each attempt's candidate is appended to ``probed`` when one is given."""
     if d == 0 or pstar <= 0.0:
         return -1
     for a in range(MAX_ATTEMPTS):
         x = rng.randint_scalar(seed, qid, step, 2 * a, d)
+        if probed is not None:
+            probed.append(x)
         y = rng.uniform_scalar(seed, qid, step, 2 * a + 1) * pstar
         w = float(probe(np.array([start + x]), np.array([walker_row]))[0])
         if y < w:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import sampling
 from repro.graph.csr import CSRGraph
 from repro.sampling import alias as alias_m
-from repro.sampling import its as its_m
 from repro.sampling.base import segment_cumsum
 
 
@@ -31,37 +31,12 @@ def static_weights(csr: CSRGraph, kind: str) -> np.ndarray:
 
 
 def build_tables(csr: CSRGraph, method: str, kind: str) -> dict:
-    """Algorithm 3 over the whole graph for one (method, kind)."""
+    """Algorithm 3 over the whole graph for one (method, kind): the
+    method's init over every vertex's E_v ({} for NAIVE and O-REJ, which
+    have no initialization phase)."""
     w = static_weights(csr, kind)
-    deg = csr.degrees()
-    if method == "naive":
-        if kind != "unbiased":
-            raise ValueError("NAIVE supports unbiased RW only (§2.3)")
-        return {}
-    if method == "its":
-        cum, totals = segment_cumsum(w, deg)
-        return {"cum": cum, "totals": totals}
-    if method == "alias":
-        prob = np.ones(csr.num_edges)
-        a1 = np.zeros(csr.num_edges, dtype=np.int64)
-        a2 = np.zeros(csr.num_edges, dtype=np.int64)
-        indptr = csr.indptr
-        for v in range(csr.num_vertices):
-            s, e = int(indptr[v]), int(indptr[v + 1])
-            if e > s:
-                p, f, g = alias_m.init(w[s:e])
-                prob[s:e], a1[s:e], a2[s:e] = p, f, g
-        return {"prob": prob, "a1": a1, "a2": a2}
-    if method in ("rej", "orej"):
-        # REJ preprocessing: per-vertex p* (O-REJ needs none; for unbiased/
-        # static runs O-REJ reuses the raw weights with a global user bound).
-        pmax = np.zeros(csr.num_vertices)
-        nz = deg > 0
-        if csr.num_edges:
-            red = np.maximum.reduceat(w, csr.indptr[:-1][nz])
-            pmax[nz] = red
-        return {"pmax": pmax, "weights": w}
-    raise ValueError(f"unknown sampling method {method!r}")
+    init = sampling.get(method, kind).init
+    return {} if init is None else init(w, csr.degrees())
 
 
 def build(csr: CSRGraph, method: str, kind: str, force: bool = False) -> dict:
@@ -73,33 +48,32 @@ def build(csr: CSRGraph, method: str, kind: str, force: bool = False) -> dict:
 
 
 def its_dynamic_init(weights_flat: np.ndarray, counts: np.ndarray):
-    """Per-step ITS init over gathered ragged segments (dynamic RW ring)."""
+    """ITS init over ragged segments: one per walker for a dynamic RW
+    step, one per vertex for Algorithm 3."""
     return segment_cumsum(weights_flat, counts)
 
 
 def alias_dynamic_init(weights_flat: np.ndarray, counts: np.ndarray):
-    """Per-step ALIAS init over gathered segments — O(d) *per walker per
-    step* with Python-level constant, which is exactly the pathology the
-    paper measures for BL on dynamic RW (Table 6 OOT cells)."""
+    """ALIAS init over ragged segments — for dynamic RW O(d) *per walker
+    per step* with Python-level constant, which is exactly the pathology
+    the paper measures for BL on dynamic RW (Table 6 OOT cells). A
+    zero-mass segment keeps alias entries of -1: generation picks no edge."""
     n_flat = len(weights_flat)
     prob = np.ones(n_flat)
-    a1 = np.zeros(n_flat, dtype=np.int64)
-    a2 = np.zeros(n_flat, dtype=np.int64)
+    a1 = np.full(n_flat, -1, dtype=np.int64)
+    a2 = np.full(n_flat, -1, dtype=np.int64)
     ends = np.cumsum(counts)
     starts = ends - counts
-    ok = np.ones(len(counts), dtype=bool)
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        seg = weights_flat[s:e]
-        if e == s or float(seg.sum()) <= 0.0:
-            ok[i] = False
-            continue
-        p, f, g = alias_m.init(seg)
-        prob[s:e], a1[s:e], a2[s:e] = p, f, g
+    ok = counts > 0
+    if n_flat:
+        ok[ok] = np.add.reduceat(weights_flat, starts[ok]) > 0.0
+    for s, e in zip(starts[ok].tolist(), ends[ok].tolist()):
+        prob[s:e], a1[s:e], a2[s:e] = alias_m.init(weights_flat[s:e])
     return prob, a1, a2, ok
 
 
 def rej_dynamic_init(weights_flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-step REJ init: per-segment max weight."""
+    """REJ init over ragged segments: per-segment max weight."""
     pmax = np.zeros(len(counts))
     nz = counts > 0
     if len(weights_flat):

@@ -4,17 +4,17 @@ Initialization finds p* = max weight (O(d)); generation repeats
 (x ~ U[0, d), y ~ U[0, p*)) until y < p_x. Expected attempts
 E = d·p* / Σp. The attempt loop is the SDG cycle (Table 4, right column).
 
-A capped attempt count (``MAX_ATTEMPTS``) guards zero-mass or adversarial
-distributions; a walker that exhausts it is treated as dead (-1). The cap
-is shared by the scalar and batch forms so engines stay bitwise-equal.
+A capped attempt count (``base.MAX_ATTEMPTS``, shared with O-REJ) guards
+zero-mass or adversarial distributions; a walker that exhausts it is
+treated as dead (-1). The cap is shared by the scalar and batch forms so
+engines stay bitwise-equal.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core import rng
-
-MAX_ATTEMPTS = 512
+from repro.sampling.base import MAX_ATTEMPTS
 
 
 def init(weights: np.ndarray) -> float:
@@ -23,14 +23,18 @@ def init(weights: np.ndarray) -> float:
 
 
 def generate_scalar(
-    weights: np.ndarray, pmax: float, seed: int, qid: int, step: int
+    weights: np.ndarray, pmax: float, seed: int, qid: int, step: int,
+    probed: list | None = None,
 ) -> int:
-    """Throw darts until hit; attempt a uses draws (2a, 2a+1)."""
+    """Throw darts until hit; attempt a uses draws (2a, 2a+1). Each
+    attempt's candidate is appended to ``probed`` when one is given."""
     d = len(weights)
     if d == 0 or pmax <= 0.0:
         return -1
     for a in range(MAX_ATTEMPTS):
         x = rng.randint_scalar(seed, qid, step, 2 * a, d)
+        if probed is not None:
+            probed.append(x)
         y = rng.uniform_scalar(seed, qid, step, 2 * a + 1) * pmax
         if y < weights[x]:
             return x

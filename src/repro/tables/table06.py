@@ -20,9 +20,8 @@ import pandas as pd
 
 from repro.algos import make_app
 from repro.baselines.systems import SYSTEMS
-from repro.core.model import WalkerType
 from repro.core.spark_runner import run_system_spark
-from repro.sampling import preprocess
+from repro.sampling import needs_tables, preprocess
 from repro.tables import common
 
 OOT = float("inf")
@@ -94,7 +93,7 @@ DEFAULT_QUERIES = {"ppr": 4096, "deepwalk": 2048, "node2vec": 512, "metapath": 2
 def _preprocess_time(csr, app) -> float:
     """Algorithm 3 cost for static/unbiased cells (part of the paper's
     'total time'); dynamic and table-free samplers pay none."""
-    if app.walker_type is WalkerType.DYNAMIC or app.sampler in ("naive", "orej"):
+    if not needs_tables(app):
         return 0.0
     t0 = time.perf_counter()
     preprocess.build(csr, app.sampler, app.table_kind(), force=True)
