@@ -1,12 +1,12 @@
 """Spark parallelization of the walk engines.
 
 The paper parallelizes by statically assigning queries to OpenMP threads
-(§4.2 "Parallelization"). Here the queries are a Spark DataFrame
-repartitioned into N partitions; each partition executes the chosen
-engine over a *broadcast* CSR inside Arrow-backed ``mapInPandas`` and
-yields long-format walk rows. Whole-graph sampler preprocessing
-(Algorithm 3) runs once on the driver before the broadcast so executors
-share the tables.
+(§4.2 "Parallelization"). Here the queries are a ``spark.range`` of query
+ids in N partitions; each partition executes the chosen engine over a
+*broadcast* CSR inside Arrow-backed ``mapInPandas``, one Arrow batch at a
+time, and streams out long-format walk rows. Whole-graph sampler
+preprocessing (Algorithm 3) runs once on the driver before the broadcast
+so executors share the tables.
 
 The engine cannot be a Catalyst rewrite — each step consumes a random
 draw over the previous step's adjacency, an inherently sequential
@@ -15,42 +15,52 @@ stochastic dependence — so per the layering rule it is implemented as a
 relational work (query generation, validation, scoring) stays in Spark
 SQL.
 
-Per-partition engine time is reported through sentinel rows
-``(query_id = -(partition+1), step = -1, vertex = elapsed_microseconds)``
-— the walk schema is all-int64 so the timing piggybacks without a second
-job. ``collect_walks`` separates them.
+The walks DataFrame holds only walks. Each partition reports its engine
+seconds through an accumulator keyed by partition id. A job is collected
+once: :func:`collect_walks` reads the accumulator and releases the
+broadcast.
 """
 from __future__ import annotations
 
 import time
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import pandas as pd
+from pyspark import Accumulator, AccumulatorParam, Broadcast, TaskContext
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.systems import SYSTEMS
 from repro.core import engine as eng
 from repro.core.model import RandomWalkApp
 from repro.graph.csr import CSRGraph
-from repro.sampling import needs_tables, sampler_for
+from repro.sampling import sampler_for
 
 WALK_SCHEMA = "query_id LONG, step INT, vertex LONG"
 
 
-def _prebuild_tables(csr: CSRGraph, app: RandomWalkApp) -> None:
-    """Run Algorithm 3 on the driver so executors reuse csr.aux."""
-    if needs_tables(app):
-        sampler_for(app).tables(csr, app)
+class _PartitionSeconds(AccumulatorParam):
+    """Engine seconds by partition id; a retried task overwrites its entry."""
+
+    def zero(self, value: dict) -> dict:
+        return {}
+
+    def addInPlace(self, acc: dict, update: dict) -> dict:
+        acc.update(update)
+        return acc
+
+
+class WalkJob(NamedTuple):
+    """Lazy walks, engine seconds by partition, and the CSR broadcast."""
+
+    walks: DataFrame
+    engine_s: Accumulator
+    broadcast: Broadcast
 
 
 def queries_df(spark: SparkSession, sources: np.ndarray, n_partitions: int) -> DataFrame:
-    """Queries as a DataFrame (query_id, source), round-robin partitioned."""
-    pdf = pd.DataFrame(
-        {"query_id": np.arange(len(sources), dtype=np.int64),
-         "source": np.asarray(sources, dtype=np.int64)}
-    )
-    return spark.createDataFrame(pdf).repartition(max(1, n_partitions))
+    """Query ids ``0..len(sources)-1`` as a DataFrame in contiguous partitions."""
+    return spark.range(len(sources), numPartitions=max(1, n_partitions)).toDF("query_id")
 
 
 def run_walks_spark(
@@ -62,67 +72,54 @@ def run_walks_spark(
     seed: int = 0,
     n_partitions: int | None = None,
     **engine_kwargs,
-) -> DataFrame:
+) -> WalkJob:
     """Distribute the queries and run ``engine`` per partition.
 
-    Returns the lazy walks DataFrame (plus timing sentinel rows); use
-    :func:`collect_walks` to materialize and split it.
+    Returns the lazy job; :func:`collect_walks` materializes it.
     """
-    _prebuild_tables(csr, app)
+    sampler_for(app).tables(csr, app)  # Algorithm 3 on the driver, cached on csr.aux
     sc = spark.sparkContext
     if n_partitions is None:
         n_partitions = sc.defaultParallelism
-    bc = sc.broadcast(csr)
     qdf = queries_df(spark, sources, n_partitions)
+    sources = np.asarray(sources, dtype=np.int64)
+    engine_s = sc.accumulator({}, _PartitionSeconds())
+    bc = sc.broadcast(csr)
 
     def walk_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        parts = [b for b in batches if len(b)]
-        t0 = time.perf_counter()
-        outs = []
-        pid = 0
-        if parts:
-            q = pd.concat(parts, ignore_index=True)
-            g = bc.value
-            res = eng.run_walks(
-                g,
-                app,
-                q["source"].to_numpy(),
-                engine=engine,
-                seed=seed,
-                qids=q["query_id"].to_numpy(),
-                **engine_kwargs,
-            )
-            outs.append(res.to_pandas())
-            pid = int(q["query_id"].min()) % 100_000
-        elapsed_us = int((time.perf_counter() - t0) * 1e6)
-        outs.append(
-            pd.DataFrame(
-                {"query_id": [-(pid + 1)], "step": [-1], "vertex": [elapsed_us]}
-            )
-        )
-        yield pd.concat(outs, ignore_index=True)
+        seconds = 0.0
+        for batch in batches:
+            t0 = time.perf_counter()
+            qids = batch["query_id"].to_numpy()
+            rows = eng.run_walks(bc.value, app, sources[qids], engine=engine, seed=seed,
+                                 qids=qids, **engine_kwargs).to_pandas()
+            seconds += time.perf_counter() - t0
+            yield rows
+        engine_s.add({TaskContext.get().partitionId(): seconds})
 
-    return qdf.mapInPandas(walk_partition, schema=WALK_SCHEMA)
+    return WalkJob(qdf.mapInPandas(walk_partition, schema=WALK_SCHEMA), engine_s, bc)
 
 
-def collect_walks(df: DataFrame) -> tuple[pd.DataFrame, dict]:
-    """Materialize a runner result: (walk rows, timing metadata).
+def collect_walks(job: WalkJob) -> tuple[pd.DataFrame, dict]:
+    """Materialize a job: (walk rows, timing metadata). Releases the job's
+    broadcast, also when the job fails, so a job is collected once.
 
     ``meta['engine_time_s']`` is the parallel makespan — the max
     per-partition engine time — which Table 6 reports alongside the
     driver-observed wall time.
     """
-    t0 = time.perf_counter()
-    pdf = df.toPandas()
-    wall = time.perf_counter() - t0
-    is_timing = pdf["step"] < 0
-    timing = pdf.loc[is_timing, "vertex"].to_numpy() / 1e6
-    walks = pdf.loc[~is_timing].reset_index(drop=True)
+    try:
+        t0 = time.perf_counter()
+        walks = job.walks.toPandas()
+        wall = time.perf_counter() - t0
+    finally:
+        job.broadcast.destroy()
+    seconds = list(job.engine_s.value.values())
     meta = {
         "wall_s": wall,
-        "engine_time_s": float(timing.max()) if len(timing) else 0.0,
-        "engine_time_sum_s": float(timing.sum()),
-        "n_partitions": int(len(timing)),
+        "engine_time_s": max(seconds, default=0.0),
+        "engine_time_sum_s": sum(seconds),
+        "n_partitions": len(seconds),
         "total_steps": int((walks["step"] > 0).sum()),
     }
     return walks, meta
@@ -149,7 +146,7 @@ def run_system_spark(
     parts = 1 if not spec.parallel else n_partitions
     kw = dict(spec.engine_kwargs)
     kw.update(overrides)
-    df = run_walks_spark(
+    job = run_walks_spark(
         spark,
         csr,
         spec.app_for(app),
@@ -159,6 +156,6 @@ def run_system_spark(
         n_partitions=parts,
         **kw,
     )
-    walks, meta = collect_walks(df)
+    walks, meta = collect_walks(job)
     meta["system"] = system
     return walks, meta
