@@ -13,8 +13,5 @@ def make_app(name: str, csr=None, **kw):
     if name == "node2vec":
         return node2vec.make_app(**kw)
     if name == "metapath":
-        if "schema" not in kw:
-            if csr is None:
-                raise ValueError("metapath needs a schema or a csr to derive one")
         return metapath.make_app(csr=csr, **kw)
     raise ValueError(f"unknown algorithm {name!r}")

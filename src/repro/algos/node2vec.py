@@ -28,7 +28,6 @@ def node2vec_weight(
     *,
     a: float,
     b: float,
-    use_edge_weight: bool,
 ) -> np.ndarray:
     """Vectorized Weight UDF (Eq. 1), one weight per candidate edge."""
     dst = csr.dst[flat_idx]
@@ -40,17 +39,13 @@ def node2vec_weight(
     is_nb = bisect_contains(csr.dst, lo, hi, dst)
     w = np.where(is_nb, 1.0, w)
     w = np.where(dst == prev, 1.0 / a, w)
-    w = np.where(prev < 0, pmax, w)  # first step: Listing 1 returns MaxWeight
-    if use_edge_weight:
-        w = w * csr.weight[flat_idx]
-    return w
+    return np.where(prev < 0, pmax, w)  # first step: Listing 1 returns MaxWeight
 
 
 def make_app(
     a: float = 2.0,
     b: float = 0.5,
     length: int = 80,
-    use_edge_weight: bool = False,
     **_,
 ) -> RandomWalkApp:
     pmax = max(1.0, 1.0 / a, 1.0 / b)
@@ -59,8 +54,7 @@ def make_app(
         walker_type=WalkerType.DYNAMIC,
         sampler="its",
         target_length=length,
-        needs_prev=True,
-        weight_fn=partial(node2vec_weight, a=a, b=b, use_edge_weight=use_edge_weight),
-        max_weight=pmax * (5.0 if use_edge_weight else 1.0),
+        weight_fn=partial(node2vec_weight, a=a, b=b),
+        max_weight=pmax,
         params={"a": a, "b": b, "length": length},
     )

@@ -39,6 +39,9 @@ class SystemSpec:
     engine_kwargs: dict = field(default_factory=dict)
 
     def app_for(self, app: RandomWalkApp) -> RandomWalkApp:
+        """``app`` with this system's sampler; raises for an unsupported algorithm."""
+        if app.name not in self.supports:
+            raise ValueError(f"{self.name} does not support {app.name} (§6.1)")
         sampler = self.samplers.get(app.name)
         return app.with_sampler(sampler) if sampler else app
 
@@ -81,8 +84,6 @@ def run_system(
 ) -> WalkOutput:
     """Run one system's engine over the given queries in-process."""
     spec = SYSTEMS[system]
-    if app.name not in spec.supports:
-        raise ValueError(f"{system} does not support {app.name} (§6.1)")
     kw = dict(spec.engine_kwargs)
     kw.update(overrides)
     return eng.run_walks(

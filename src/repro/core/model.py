@@ -45,7 +45,6 @@ class RandomWalkApp:
     sampler: str  # default sampling method; engines may override
     target_length: int | None = None
     stop_prob: float | None = None
-    needs_prev: bool = False
     # (csr, flat_edge_idx, prev_per_candidate, length_per_candidate) -> weights
     weight_fn: Callable[[CSRGraph, np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
     max_weight: float | None = None  # O-REJ p* (MaxWeight UDF)

@@ -132,8 +132,6 @@ def run_system_spark(
     app: RandomWalkApp,
     sources: np.ndarray,
     seed: int = 0,
-    n_partitions: int | None = None,
-    **overrides,
 ) -> tuple[pd.DataFrame, dict]:
     """One Table 6 cell: run a compared system over Spark and collect.
 
@@ -141,11 +139,6 @@ def run_system_spark(
     session default parallelism.
     """
     spec = SYSTEMS[system]
-    if app.name not in spec.supports:
-        raise ValueError(f"{system} does not support {app.name} (§6.1)")
-    parts = 1 if not spec.parallel else n_partitions
-    kw = dict(spec.engine_kwargs)
-    kw.update(overrides)
     job = run_walks_spark(
         spark,
         csr,
@@ -153,8 +146,8 @@ def run_system_spark(
         sources,
         engine=spec.engine,
         seed=seed,
-        n_partitions=parts,
-        **kw,
+        n_partitions=None if spec.parallel else 1,
+        **spec.engine_kwargs,
     )
     walks, meta = collect_walks(job)
     meta["system"] = system

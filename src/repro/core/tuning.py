@@ -43,7 +43,6 @@ def tune_ring_sizes(
     max_k: int = 1024,
     length: int = 10,
     max_queries: int | None = None,
-    seed: int = 1,
 ) -> TuningResult:
     """§5.4 protocol: sweep k on NAIVE/ALIAS, then k' ≤ k* on the rest."""
     t_start = time.perf_counter()

@@ -111,7 +111,7 @@ class Hierarchy:
         self.bus_free = 0.0  # DRAM channel availability time
 
     def _install(self, line: int, install: str) -> None:
-        if install in ("t0", "demand"):
+        if install == "t0":
             self.l1.insert(line)
             self.l2.insert(line)
             self.l3.insert(line)
@@ -164,7 +164,7 @@ class Hierarchy:
         # but hide their latency.
         if cfg.hw_prefetch_depth and self.l1.lookup(line - 1):
             self._stream_prefetch(line, stats, clock)
-        base = cfg.lat_dram if install in ("t0", "demand", "nta") else cfg.lat_dram + cfg.lat_l2
+        base = cfg.lat_dram if install in ("t0", "nta") else cfg.lat_dram + cfg.lat_l2
         return int(base + queue)
 
     def _stream_prefetch(self, line: int, stats: SimStats, clock: float) -> None:
@@ -181,7 +181,6 @@ def run_trace(
     window: int = 1,
     prefetch_level: str = "t0",
     n_steps: int | None = None,
-    extra_instr_per_stage: int = 0,
 ) -> SimStats:
     """Execute lane stage-streams through the machine model.
 
@@ -191,10 +190,6 @@ def run_trace(
     ``switch_cost``) — if *no* lane is ready the core stalls, which is the
     memory-bound time TMAM reports. DRAM misses also contend for
     ``cfg.mshr`` slots.
-
-    ``extra_instr_per_stage`` models the bookkeeping overhead of switch
-    mechanisms (w/si stage transitions, AMAC full state maintenance —
-    Table 13).
     """
     cfg = cfg or SimConfig()
     hier = Hierarchy(cfg)
@@ -226,7 +221,7 @@ def run_trace(
             continue
         li = active[chosen]
         stage = lanes[li][pos[li]]
-        n_instr = stage[0] + extra_instr_per_stage
+        n_instr = stage[0]
         addr = stage[1]
         if len(stage) > 2 and stage[2]:
             stats.branch_events += 1

@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 MAX_ATTEMPTS = 512
-"""Rejection attempt cap shared by REJ and O-REJ: attempt a uses draws
-(2a, 2a+1), which stay below the termination coin's ``model.TERM_DRAW``."""
+"""Attempt cap of the one rejection loop (``orej``, which REJ generates
+through): attempt a uses draws (2a, 2a+1), which stay below the
+termination coin's ``model.TERM_DRAW``."""
 
 
 def flatten_segments(indptr: np.ndarray, vs: np.ndarray):

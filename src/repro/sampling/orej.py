@@ -5,6 +5,13 @@ scanning E_v. The crucial property for dynamic RW (Node2Vec) is that each
 attempt probes the weight of *one* candidate edge instead of gathering all
 of E_v — the probe callback receives (flat CSR edge index, walker row) and
 returns that single transition weight.
+
+This module holds the one rejection attempt loop, in a scalar and a batch
+form: REJ (:mod:`repro.sampling.rej`) generates through it with a probe
+that reads its initialized weights. Attempt a uses draws (2a, 2a+1); a
+walker that misses ``base.MAX_ATTEMPTS`` times (zero-mass or adversarial
+distributions) is treated as dead (-1). Both forms use the same draws and
+cap, so engines stay bitwise-equal.
 """
 from __future__ import annotations
 

@@ -30,7 +30,6 @@ def test_deepwalk_unweighted_is_unbiased():
 def test_node2vec_app():
     app = make_app("node2vec", a=2.0, b=0.5)
     assert app.walker_type is WalkerType.DYNAMIC
-    assert app.needs_prev
     assert app.max_weight == pytest.approx(2.0)  # max(1, 1/2, 1/0.5)
 
 

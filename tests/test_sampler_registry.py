@@ -12,7 +12,7 @@ from repro.core.spark_runner import collect_walks, run_walks_spark
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.perf import trace
-from repro.sampling import base, orej, rej
+from repro.sampling import base, orej
 from tests.test_engines import APP_CASES
 
 SEED = 21
@@ -58,9 +58,10 @@ def test_needs_tables(algo, sampler, expect):
 
 
 def test_attempt_cap_shared_and_below_termination_draw():
-    """REJ/O-REJ attempt a uses draws (2a, 2a+1); the termination coin's
-    draw index must lie past every one of them."""
-    assert rej.MAX_ATTEMPTS == orej.MAX_ATTEMPTS == base.MAX_ATTEMPTS
+    """The one rejection loop (O-REJ's, which REJ generates through) uses
+    draws (2a, 2a+1) for attempt a; the termination coin's draw index must
+    lie past every one of them."""
+    assert orej.MAX_ATTEMPTS == base.MAX_ATTEMPTS
     assert 2 * base.MAX_ATTEMPTS + 1 < TERM_DRAW
 
 

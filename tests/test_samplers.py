@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import rng
 from repro.sampling import alias, its, naive, orej, rej
+from repro.sampling.base import MAX_ATTEMPTS
 
 SEED = 17
 
@@ -207,6 +208,37 @@ def test_orej_batch_matches_scalar(step):
     for i, w in enumerate(ws):
         p = lambda idx, rows: w[idx]
         assert got[i] == orej.generate_scalar(len(w), 0, float(w.max() * 1.3), p, SEED, i, step)
+
+
+@pytest.mark.parametrize("step", [0, 5])
+def test_rej_equals_orej_with_table_probe(step):
+    """REJ is O-REJ given REJ's weights as a table probe and the same bound,
+    bitwise, in both forms: over random ragged segments, an empty one, a
+    zero-mass one and one that gives up (weights << p*, every attempt
+    misses)."""
+    rs = np.random.default_rng(step)
+    ws = [rs.uniform(0.0, 4.0, rs.integers(1, 12)) for _ in range(40)]
+    ws += [np.zeros(0), np.zeros(4), np.full(6, 1e-9)]
+    pmax = np.array([rej.init(w) for w in ws])
+    pmax[-1] = 1.0  # forced give-up
+    counts, starts = _flat_tables(ws)
+    flat = np.concatenate(ws)
+    qids = np.arange(len(ws))
+    steps = np.full(len(ws), step)
+    got = rej.generate_batch(flat, starts, counts, pmax, SEED, qids, steps)
+    want = orej.generate_batch(starts, counts, pmax, lambda idx, rows: flat[idx],
+                               SEED, qids, steps)
+    assert np.array_equal(got, want)
+    for i, w in enumerate(ws):
+        rej_probed, orej_probed = [], []
+        x = rej.generate_scalar(w, float(pmax[i]), SEED, i, step, rej_probed)
+        y = orej.generate_scalar(len(w), 0, float(pmax[i]), lambda idx, rows: w[idx],
+                                 SEED, i, step, probed=orej_probed)
+        assert x == y == got[i]
+        assert rej_probed == orej_probed
+    assert got[-3] == got[-2] == got[-1] == -1
+    assert len(rej_probed) == MAX_ATTEMPTS  # the give-up segment's attempts
+    assert (got[:-3] >= 0).all()
 
 
 def test_batch_draws_differ_across_walkers():

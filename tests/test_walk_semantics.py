@@ -170,7 +170,7 @@ def test_node2vec_weight_values(small_graph):
     ref = node2vec.node2vec_weight(small_graph, flat,
                                    np.full(e - s, u, dtype=np.int64),
                                    np.ones(e - s, dtype=np.int64),
-                                   a=a_p, b=b_p, use_edge_weight=False)
+                                   a=a_p, b=b_p)
     assert np.array_equal(w, ref)
     assert set(np.unique(w)) <= {1 / a_p, 1.0, 1 / b_p}
     # the back-edge to u must get 1/a
