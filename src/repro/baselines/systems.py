@@ -10,7 +10,8 @@
 * **KK** — KnightKing's BSP model with O-REJ sampling; no MetaPath
   (its per-edge bound cannot express the label filter, §2.4).
 * **TRW** — ThunderRW: HG's sampler choices + the step-interleaved ring
-  engine, parallelized over Spark partitions.
+  engine at the tuner's ring size (``engine.MAX_RING_SIZE``, §5.4),
+  parallelized over Spark partitions.
 
 ``run_system`` executes one (system, algorithm) cell locally (one
 "thread"); the Spark runner parallelizes the parallel systems.
@@ -68,7 +69,7 @@ SYSTEMS: dict[str, SystemSpec] = {
     "TRW": SystemSpec(
         name="TRW", engine="interleaved", parallel=True,
         samplers={"ppr": "naive", "deepwalk": "alias", "node2vec": "orej", "metapath": "its"},
-        engine_kwargs={"ring_size": 64},
+        engine_kwargs={"ring_size": eng.MAX_RING_SIZE},
     ),
 }
 

@@ -35,6 +35,10 @@ from repro.sampling.base import flatten_segments
 
 ENGINES = ("sequential", "interleaved", "bsp", "asp")
 
+MAX_RING_SIZE = 1024
+"""Bound of the §5.4 ring-size sweep (Table 9). The tuner returns it on
+every dataset (EXPERIMENTS deviation 3), so TRW runs at it."""
+
 
 def _tick(timers: dict, key: str, t0: float) -> float:
     """Add the time since ``t0`` to phase ``key``; return now."""

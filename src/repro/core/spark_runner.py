@@ -136,7 +136,8 @@ def run_system_spark(
     """One Table 6 cell: run a compared system over Spark and collect.
 
     Serial systems (BL) run with a single partition; parallel ones use the
-    session default parallelism.
+    session default parallelism. ``meta['ring_size']`` is the ring engine's
+    k (None for the scalar systems).
     """
     spec = SYSTEMS[system]
     job = run_walks_spark(
@@ -151,4 +152,5 @@ def run_system_spark(
     )
     walks, meta = collect_walks(job)
     meta["system"] = system
+    meta["ring_size"] = spec.engine_kwargs.get("ring_size")
     return walks, meta

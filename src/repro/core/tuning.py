@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algos import deepwalk
-from repro.core.engine import run_interleaved
+from repro.core.engine import MAX_RING_SIZE, run_interleaved
 from repro.graph.csr import CSRGraph
 
 
@@ -40,7 +40,7 @@ def _walk_time(csr: CSRGraph, sampler: str, sources: np.ndarray, k: int, length:
 
 def tune_ring_sizes(
     csr: CSRGraph,
-    max_k: int = 1024,
+    max_k: int = MAX_RING_SIZE,
     length: int = 10,
     max_queries: int | None = None,
 ) -> TuningResult:

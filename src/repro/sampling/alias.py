@@ -73,9 +73,11 @@ def generate_batch(
     qids: np.ndarray,
     steps: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized generation over a ring (tables flattened per segment)."""
-    x = rng.randint(seed, qids, steps, 0, counts)
-    y = rng.uniform(seed, qids, steps, 1)
+    """Vectorized generation over a ring (tables flattened per segment);
+    both draws finish one step key."""
+    key = rng.key(seed, qids, steps)
+    x = rng.randint(seed, qids, steps, 0, counts, key=key)
+    y = rng.uniform(seed, qids, steps, 1, key=key)
     slot = starts + x
     safe = np.where(counts > 0, slot, 0)
     local = np.where(y < prob_flat[safe], a1_flat[safe], a2_flat[safe])

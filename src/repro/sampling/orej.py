@@ -35,15 +35,18 @@ def generate_scalar(
     probed: list | None = None,
 ) -> int:
     """Dart-throwing with user bound; probes one edge weight per attempt.
-    Each attempt's candidate is appended to ``probed`` when one is given."""
+    The step key is hashed once, before the attempts. Each attempt's
+    candidate is appended to ``probed`` when one is given."""
     if d == 0 or pstar <= 0.0:
         return -1
+    key = rng.key(seed, qid, step)
+    rows = np.array([walker_row])
     for a in range(MAX_ATTEMPTS):
-        x = rng.randint_scalar(seed, qid, step, 2 * a, d)
+        x = rng.randint_scalar(seed, qid, step, 2 * a, d, key=key)
         if probed is not None:
             probed.append(x)
-        y = rng.uniform_scalar(seed, qid, step, 2 * a + 1) * pstar
-        w = float(probe(np.array([start + x]), np.array([walker_row]))[0])
+        y = rng.uniform_scalar(seed, qid, step, 2 * a + 1, key=key) * pstar
+        w = float(probe(np.array([start + x]), rows)[0])
         if y < w:
             return x
     return -1
@@ -58,16 +61,20 @@ def generate_batch(
     qids: np.ndarray,
     steps: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized O-REJ over a ring; probe is called once per attempt wave."""
+    """Vectorized O-REJ over a ring; probe is called once per attempt wave.
+    Each walker's step key is hashed once per call; the waves only finish
+    it per draw (the key stands in for the qid and step counters)."""
     n = len(qids)
     sel = np.full(n, -1, dtype=np.int64)
     active = (counts > 0) & (pstar > 0)
+    keys = rng.key(seed, qids, steps)
     for a in range(MAX_ATTEMPTS):
         if not active.any():
             break
         ids = np.flatnonzero(active)
-        x = rng.randint(seed, qids[ids], steps[ids], 2 * a, counts[ids])
-        y = rng.uniform(seed, qids[ids], steps[ids], 2 * a + 1) * pstar[ids]
+        key = keys[ids]
+        x = rng.randint(seed, None, None, 2 * a, counts[ids], key=key)
+        y = rng.uniform(seed, None, None, 2 * a + 1, key=key) * pstar[ids]
         w = probe(starts[ids] + x, ids)
         hit = y < w
         sel[ids[hit]] = x[hit]

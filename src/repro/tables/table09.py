@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pandas as pd
 
+from repro.core.engine import MAX_RING_SIZE
 from repro.core.tuning import tune_ring_sizes
 from repro.tables import common
 
@@ -28,7 +29,7 @@ DEFAULT_DATASETS = ["am", "yt", "eu", "ac", "lj", "wk"]
 def compute(
     datasets: list | None = None,
     scale: float = 1.0,
-    max_k: int = 1024,
+    max_k: int = MAX_RING_SIZE,
     max_queries: int = 2000,
 ) -> pd.DataFrame:
     rows = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.algos import make_app
-from repro.core.engine import run_walks
+from repro.core.engine import MAX_RING_SIZE, run_walks
 from repro.graph import generators as gen
 
 SEED = 21
@@ -72,6 +72,18 @@ def test_ring_size_invariance(ring_size, small_graph, sources_small):
     b = run_walks(small_graph, app, sources_small, engine="interleaved",
                   seed=SEED, ring_size=ring_size)
     assert _paths_equal(a, b)
+
+
+def test_orej_node2vec_refills_a_full_ring(small_graph):
+    """More queries than the tuned ring holds: the 1024-ring fills, then
+    refills, and O-REJ's hoisted step keys still walk like the scalar loop."""
+    sources = gen.random_sources(small_graph, MAX_RING_SIZE + 276, seed=9)
+    app = _app("node2vec", "orej", {"length": 6}, small_graph)
+    a = run_walks(small_graph, app, sources, engine="sequential", seed=SEED)
+    for k in (64, MAX_RING_SIZE):
+        b = run_walks(small_graph, app, sources, engine="interleaved", seed=SEED, ring_size=k)
+        assert b.meta["ring_size"] == k
+        assert _paths_equal(a, b)
 
 
 def test_asp_equals_sequential_unbiased(small_graph, sources_small):

@@ -81,3 +81,59 @@ def test_randint_uniformity_chi2ish():
 def test_mix64_bijective_sample():
     xs = np.arange(100_000, dtype=np.uint64)
     assert len(np.unique(rng._mix64(xs))) == len(xs)
+
+
+_EDGES = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+# Draw indices whose draw·K_DRAW wraps past 2^64 (the smallest one is 7).
+_WRAP_DRAWS = [7, 2**32, 2**63 + 1, 2**64 - 1]
+
+
+def _keyed_cases():
+    r = np.random.default_rng(4)
+    rand = lambda n: r.integers(0, 2**64, size=n, dtype=np.uint64)  # noqa: E731
+    seeds = [int(x) for x in rand(3)] + _EDGES
+    yield from ((s, q, t) for s in seeds for q in _EDGES for t in _EDGES)
+    yield from zip(seeds, (int(x) for x in rand(8)), (int(x) for x in rand(8)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_keyed_draws_equal_unkeyed_scalar():
+    """Scalar form: a step key finishes every draw exactly as the full hash."""
+    draws = [0, 1, 2, 1023, 1024] + _WRAP_DRAWS
+    for seed, qid, step in _keyed_cases():
+        key = rng.key(seed, qid, step)
+        for d in draws:
+            assert rng.uniform_scalar(seed, qid, step, d, key=key) == rng.uniform_scalar(seed, qid, step, d)
+            assert rng.randint_scalar(seed, qid, step, d, 97, key=key) == rng.randint_scalar(seed, qid, step, d, 97)
+            assert rng.uniform(seed, qid, step, d, key=key) == rng.uniform(seed, qid, step, d)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 3, 2**63, 2**64 - 1])
+def test_keyed_draws_equal_unkeyed_vector(seed):
+    """Vector form over random and edge-case qid/step lanes, with the key
+    indexed per lane (as the ring's attempt waves do) and broadcast."""
+    r = np.random.default_rng(seed % 1000)
+    qids = np.concatenate([np.array(_EDGES, dtype=np.uint64), r.integers(0, 2**64, 300, dtype=np.uint64)])
+    steps = np.concatenate([np.array(_EDGES[::-1], dtype=np.uint64), r.integers(0, 2**64, 300, dtype=np.uint64)])
+    bounds = r.integers(1, 5000, len(qids))
+    keys = rng.key(seed, qids, steps)
+    assert keys.dtype == np.uint64 and keys.shape == qids.shape
+    ids = r.permutation(len(qids))[:150]
+    for d in [0, 1, 2, 1023] + _WRAP_DRAWS:
+        assert np.array_equal(rng.uniform(seed, None, None, d, key=keys), rng.uniform(seed, qids, steps, d))
+        assert np.array_equal(
+            rng.randint(seed, None, None, d, bounds[ids], key=keys[ids]),
+            rng.randint(seed, qids[ids], steps[ids], d, bounds[ids]),
+        )
+    draws = np.array(_WRAP_DRAWS, dtype=np.uint64)[:, None]
+    assert np.array_equal(rng.uniform(seed, qids, steps, draws, key=keys), rng.uniform(seed, qids, steps, draws))
+
+
+@pytest.mark.filterwarnings("error")
+def test_key_of_0d_inputs():
+    for seed, qid, step in [(0, 0, 0), (2**64 - 1, 2**63, 2**64 - 1)]:
+        key = rng.key(*(np.array(x, dtype=np.uint64) for x in (seed, qid, step)))
+        assert np.ndim(key) == 0
+        assert key == rng.key(seed, qid, step)
+        assert rng.uniform(seed, qid, step, 2**64 - 1, key=key) == rng.uniform_scalar(seed, qid, step, 2**64 - 1)

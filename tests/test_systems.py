@@ -1,10 +1,15 @@
 """Compared systems (§6.1): specs and local execution."""
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.algos import make_app
 from repro.baselines import SYSTEMS, run_system
-from repro.core.engine import run_walks
+from repro.core.engine import MAX_RING_SIZE, run_walks
+from repro.core.spark_runner import run_system_spark
+from repro.core.tuning import tune_ring_sizes
+from repro.tables import table09
 
 SEED = 55
 
@@ -70,6 +75,19 @@ def test_unsupported_cells_raise(small_graph, sources_small):
         with pytest.raises(ValueError):
             run_system(system, small_graph,
                        make_app(algo, csr=small_graph), sources_small)
+
+
+def test_trw_runs_at_the_tuner_bound():
+    assert SYSTEMS["TRW"].engine_kwargs["ring_size"] == MAX_RING_SIZE
+    for fn in (tune_ring_sizes, table09.compute):
+        assert inspect.signature(fn).parameters["max_k"].default == MAX_RING_SIZE
+
+
+@pytest.mark.parametrize("system,ring", [("TRW", MAX_RING_SIZE), ("HG", None)])
+def test_spark_meta_records_ring_size(system, ring, spark, small_graph, sources_small):
+    app = make_app("deepwalk", length=5)
+    _, meta = run_system_spark(spark, system, small_graph, app, sources_small[:20], seed=SEED)
+    assert meta["ring_size"] == ring
 
 
 def test_override_kwargs(small_graph, sources_small):
