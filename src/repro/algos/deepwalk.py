@@ -15,7 +15,5 @@ def make_app(length: int = 80, weighted: bool = True, **_) -> RandomWalkApp:
         walker_type=WalkerType.STATIC if weighted else WalkerType.UNBIASED,
         sampler="alias",
         target_length=length,
-        # O-REJ bound for static runs: weights are drawn from [1, 5) (§6.1).
-        max_weight=5.0 if weighted else 1.0,
         params={"length": length, "weighted": weighted},
     )

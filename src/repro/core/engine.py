@@ -33,8 +33,6 @@ from repro.graph.csr import CSRGraph
 from repro.sampling import gathers, sampler_for
 from repro.sampling.base import flatten_segments
 
-ENGINES = ("sequential", "interleaved", "bsp", "asp")
-
 MAX_RING_SIZE = 1024
 """Bound of the §5.4 ring-size sweep (Table 9). The tuner returns it on
 every dataset (EXPERIMENTS deviation 3), so TRW runs at it."""
@@ -327,6 +325,15 @@ def run_asp(
     return out.finish(meta={"partition_loads": swaps, "n_partitions": P})
 
 
+_RUNNERS = {
+    "sequential": run_sequential,
+    "interleaved": run_interleaved,
+    "bsp": run_bsp,
+    "asp": run_asp,
+}
+ENGINES = tuple(_RUNNERS)
+
+
 def run_walks(
     csr: CSRGraph,
     app: RandomWalkApp,
@@ -337,12 +344,6 @@ def run_walks(
     **kw,
 ) -> WalkOutput:
     """Dispatch by engine name (see module docstring)."""
-    fns = {
-        "sequential": run_sequential,
-        "interleaved": run_interleaved,
-        "bsp": run_bsp,
-        "asp": run_asp,
-    }
-    if engine not in fns:
+    if engine not in _RUNNERS:
         raise ValueError(f"unknown engine {engine!r}; pick one of {ENGINES}")
-    return fns[engine](csr, app, sources, qids=qids, seed=seed, **kw)
+    return _RUNNERS[engine](csr, app, sources, qids=qids, seed=seed, **kw)

@@ -12,8 +12,9 @@ import numpy as np
 from repro.core import rng
 
 
-def init(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initialization phase (Vose): returns (H, A_first, A_second).
+def _vose(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vose's construction over one segment of positive total weight:
+    returns (H, A_first, A_second).
 
     ``A_first[i] == i`` by construction; when a bucket has a single
     element, ``A_second[i]`` is set to i as well (H[i] == 1 so it is never
@@ -21,13 +22,7 @@ def init(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Zero-weight elements are legal (their residual bucket mass is 0).
     """
     d = len(weights)
-    if d == 0:
-        z = np.zeros(0)
-        return z, z.astype(np.int64), z.astype(np.int64)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("alias init requires positive total weight")
-    p = np.asarray(weights, dtype=np.float64) * (d / total)
+    p = np.asarray(weights, dtype=np.float64) * (d / float(weights.sum()))
     prob = np.ones(d)
     a_first = np.arange(d, dtype=np.int64)
     a_second = np.arange(d, dtype=np.int64)
@@ -46,39 +41,47 @@ def init(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return prob, a_first, a_second
 
 
-def generate_scalar(
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray], seed: int, qid: int, step: int,
-    probed: list | None = None,
-) -> int:
+def init(w: np.ndarray, counts: np.ndarray) -> dict:
+    """Initialization phase over ragged segments: H as ``prob`` and A as
+    ``a1``/``a2``, local to each segment. For dynamic RW this is O(d)
+    *per walker per step* with a Python-level constant, which is exactly
+    the pathology the paper measures for BL on dynamic RW (Table 6 OOT
+    cells). A zero-mass segment keeps alias entries of -1: generation
+    picks no edge."""
+    n_flat = len(w)
+    prob = np.ones(n_flat)
+    a1 = np.full(n_flat, -1, dtype=np.int64)
+    a2 = np.full(n_flat, -1, dtype=np.int64)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    ok = counts > 0
+    if n_flat:
+        ok[ok] = np.add.reduceat(w, starts[ok]) > 0.0
+    for s, e in zip(starts[ok].tolist(), ends[ok].tolist()):
+        prob[s:e], a1[s:e], a2[s:e] = _vose(w[s:e])
+    return {"prob": prob, "a1": a1, "a2": a2}
+
+
+def generate_scalar(tab, s, d, row, seed, qid, step, probe=None, probed=None) -> int:
     """O(1) generation: bucket draw + biased coin. The bucket is appended
     to ``probed`` when one is given."""
-    prob, a_first, a_second = tables
-    d = len(prob)
-    if d == 0:
+    a1 = tab["a1"]
+    if d == 0 or a1[s] < 0:  # zero-mass segment: init left no alias entries
         return -1
     x = rng.randint_scalar(seed, qid, step, 0, d)
     if probed is not None:
         probed.append(x)
     y = rng.uniform_scalar(seed, qid, step, 1)
-    return int(a_first[x] if y < prob[x] else a_second[x])
+    slot = s + x
+    return int(a1[slot] if y < tab["prob"][slot] else tab["a2"][slot])
 
 
-def generate_batch(
-    prob_flat: np.ndarray,
-    a1_flat: np.ndarray,
-    a2_flat: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    seed: int,
-    qids: np.ndarray,
-    steps: np.ndarray,
-) -> np.ndarray:
-    """Vectorized generation over a ring (tables flattened per segment);
-    both draws finish one step key."""
+def generate_batch(tab, starts, counts, rows, seed, qids, steps, probe=None) -> np.ndarray:
+    """Vectorized generation over a ring; both draws finish one step key."""
     key = rng.key(seed, qids, steps)
     x = rng.randint(seed, qids, steps, 0, counts, key=key)
     y = rng.uniform(seed, qids, steps, 1, key=key)
     slot = starts + x
     safe = np.where(counts > 0, slot, 0)
-    local = np.where(y < prob_flat[safe], a1_flat[safe], a2_flat[safe])
+    local = np.where(y < tab["prob"][safe], tab["a1"][safe], tab["a2"][safe])
     return np.where(counts > 0, local, -1).astype(np.int64)

@@ -11,21 +11,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import rng
-from repro.sampling.base import bisect_first_greater
+from repro.sampling.base import bisect_first_greater, segment_cumsum
 
 
-def init(weights: np.ndarray) -> np.ndarray:
-    """Initialization phase: inclusive cumulative sums (the CDF, unnormalized)."""
-    return np.cumsum(weights)
+def init(w: np.ndarray, counts: np.ndarray) -> dict:
+    """Initialization phase over ragged segments: each segment's inclusive
+    cumulative sums ``cum`` (the CDF, unnormalized) and its ``totals``."""
+    cum, totals = segment_cumsum(w, counts)
+    return {"cum": cum, "totals": totals}
 
 
-def generate_scalar(cum: np.ndarray, seed: int, qid: int, step: int) -> int:
+def generate_scalar(tab, s, d, row, seed, qid, step, probe=None, probed=None) -> int:
     """Pick the smallest i with x < cum[i] for x ~ U[0, total).
 
     Returns -1 when the distribution has zero total mass (dead walker —
     e.g. MetaPath with no label-matching edge).
     """
-    d = len(cum)
+    cum = tab["cum"][s : s + d]
     total = float(cum[-1]) if d else 0.0
     if total <= 0.0:
         return -1
@@ -34,23 +36,11 @@ def generate_scalar(cum: np.ndarray, seed: int, qid: int, step: int) -> int:
     return min(i, d - 1)
 
 
-def generate_batch(
-    cum_flat: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    totals: np.ndarray,
-    seed: int,
-    qids: np.ndarray,
-    steps: np.ndarray,
-) -> np.ndarray:
-    """Vectorized generation over a ring.
-
-    ``cum_flat`` holds each walker's segment CDF at ``[starts, starts+counts)``
-    (either the preprocessed whole-graph table or the per-step Gather
-    output). Returns local indices; -1 for zero-mass segments.
-    """
+def generate_batch(tab, starts, counts, rows, seed, qids, steps, probe=None) -> np.ndarray:
+    """Vectorized generation over a ring: one binary search per walker
+    over its CDF segment. Returns local indices; -1 for zero-mass segments."""
+    totals = tab["totals"][rows]
     x = rng.uniform(seed, qids, steps, 0) * totals
-    ends = starts + counts
-    idx = bisect_first_greater(cum_flat, starts, ends, x)
+    idx = bisect_first_greater(tab["cum"], starts, starts + counts, x)
     local = np.minimum(idx - starts, np.maximum(counts - 1, 0)).astype(np.int64)
     return np.where((totals > 0) & (counts > 0), local, -1)

@@ -1,7 +1,7 @@
 """NAIVE sampling (§2.3): uniform choice over E_v, no initialization.
 
 Only valid for unbiased RW. Generation is one integer draw; O(1) time and
-space.
+space. The walker's tables are not read.
 """
 from __future__ import annotations
 
@@ -10,11 +10,11 @@ import numpy as np
 from repro.core import rng
 
 
-def generate_scalar(d: int, seed: int, qid: int, step: int) -> int:
-    """Pick a uniform local edge index in [0, d)."""
-    return rng.randint_scalar(seed, qid, step, 0, d)
+def generate_scalar(tab, s, d, row, seed, qid, step, probe=None, probed=None) -> int:
+    """Pick a uniform local edge index in [0, d) (-1 when d == 0)."""
+    return rng.randint_scalar(seed, qid, step, 0, d) if d else -1
 
 
-def generate_batch(deg: np.ndarray, seed: int, qids: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Vectorized generation for a ring of walkers (deg[i] = d of walker i)."""
-    return rng.randint(seed, qids, steps, 0, deg)
+def generate_batch(tab, starts, counts, rows, seed, qids, steps, probe=None) -> np.ndarray:
+    """Vectorized generation for a ring of walkers (-1 on an empty segment)."""
+    return np.where(counts > 0, rng.randint(seed, qids, steps, 0, counts), -1)

@@ -17,8 +17,6 @@ import numpy as np
 
 from repro import sampling
 from repro.graph.csr import CSRGraph
-from repro.sampling import alias as alias_m
-from repro.sampling.base import segment_cumsum
 
 
 def static_weights(csr: CSRGraph, kind: str) -> np.ndarray:
@@ -46,38 +44,3 @@ def build(csr: CSRGraph, method: str, kind: str, force: bool = False) -> dict:
         csr.aux[key] = build_tables(csr, method, kind)
     return csr.aux[key]
 
-
-def its_dynamic_init(weights_flat: np.ndarray, counts: np.ndarray):
-    """ITS init over ragged segments: one per walker for a dynamic RW
-    step, one per vertex for Algorithm 3."""
-    return segment_cumsum(weights_flat, counts)
-
-
-def alias_dynamic_init(weights_flat: np.ndarray, counts: np.ndarray):
-    """ALIAS init over ragged segments — for dynamic RW O(d) *per walker
-    per step* with Python-level constant, which is exactly the pathology
-    the paper measures for BL on dynamic RW (Table 6 OOT cells). A
-    zero-mass segment keeps alias entries of -1: generation picks no edge."""
-    n_flat = len(weights_flat)
-    prob = np.ones(n_flat)
-    a1 = np.full(n_flat, -1, dtype=np.int64)
-    a2 = np.full(n_flat, -1, dtype=np.int64)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    ok = counts > 0
-    if n_flat:
-        ok[ok] = np.add.reduceat(weights_flat, starts[ok]) > 0.0
-    for s, e in zip(starts[ok].tolist(), ends[ok].tolist()):
-        prob[s:e], a1[s:e], a2[s:e] = alias_m.init(weights_flat[s:e])
-    return prob, a1, a2, ok
-
-
-def rej_dynamic_init(weights_flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """REJ init over ragged segments: per-segment max weight."""
-    pmax = np.zeros(len(counts))
-    nz = counts > 0
-    if len(weights_flat):
-        ends = np.cumsum(counts)
-        starts = (ends - counts)[nz]
-        pmax[nz] = np.maximum.reduceat(weights_flat, starts)
-    return pmax

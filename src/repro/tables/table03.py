@@ -18,6 +18,7 @@ import pandas as pd
 from repro.algos import deepwalk, node2vec
 from repro.core.engine import run_interleaved
 from repro.graph import generators as gen
+from repro.sampling import SAMPLERS
 from repro.tables import common
 
 PAPER = pd.DataFrame(
@@ -31,9 +32,8 @@ PAPER = pd.DataFrame(
     columns=["method", "unbiased", "static", "dynamic"],
 )
 
-_SAMPLERS = {"unbiased": ["naive", "its", "alias", "rej", "orej"],
-             "static": ["its", "alias", "rej", "orej"],
-             "dynamic": ["its", "alias", "rej", "orej"]}
+_SAMPLERS = {kind: [m for m, rec in SAMPLERS.items() if kind == "unbiased" or not rec.unbiased_only]
+             for kind in ("unbiased", "static", "dynamic")}
 
 
 def _ns_per_step(csr, app, srcs, seed=3) -> float:

@@ -12,6 +12,7 @@ import pandas as pd
 
 from repro.algos import make_app
 from repro.perf import memsim, trace
+from repro.sampling import METHODS
 from repro.tables import common
 
 PAPER = pd.DataFrame(
@@ -40,7 +41,7 @@ def compute(
     srcs = common.sources_for(g, n_queries, seed=7)
     cfg = memsim.SimConfig()
     rows = []
-    for m in ("naive", "its", "alias", "rej", "orej"):
+    for m in METHODS:
         app = make_app("deepwalk", length=walk_len,
                        weighted=(m != "naive")).with_sampler(m)
         lanes, n = trace.build_rw_lanes(g, app, srcs, seed=seed)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.algos import ALGOS, make_app
 from repro.core.model import WalkerType
+from repro.sampling import SAMPLERS
 
 
 def test_ppr_app():
@@ -14,17 +15,21 @@ def test_ppr_app():
     assert app.target_length is None
 
 
-def test_deepwalk_app_static_default():
+def test_deepwalk_app_static_default(small_graph):
     app = make_app("deepwalk", length=40)
     assert app.walker_type is WalkerType.STATIC
     assert app.sampler == "alias"
     assert app.target_length == 40
-    assert app.max_weight == 5.0
+    # no guessed MaxWeight: O-REJ's p* is the graph's exact maximum weight
+    assert app.max_weight is None
+    orej_tab = SAMPLERS["orej"].tables(small_graph, app.with_sampler("orej"))
+    assert orej_tab["pstar"] == small_graph.weight.max()
 
 
-def test_deepwalk_unweighted_is_unbiased():
+def test_deepwalk_unweighted_is_unbiased(small_graph):
     app = make_app("deepwalk", weighted=False)
     assert app.walker_type is WalkerType.UNBIASED
+    assert SAMPLERS["orej"].tables(small_graph, app.with_sampler("orej"))["pstar"] == 1.0
 
 
 def test_node2vec_app():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.sampling import alias, its, preprocess
+from repro.sampling import alias, its, preprocess, rej
 
 
 def test_static_weights_kinds(small_graph):
@@ -26,7 +26,8 @@ def test_its_tables_match_per_vertex_init(small_graph):
     for v in range(0, g.num_vertices, 97):
         s, e = int(g.indptr[v]), int(g.indptr[v + 1])
         if e > s:
-            np.testing.assert_allclose(tab["cum"][s:e], its.init(g.weight[s:e]))
+            one = its.init(g.weight[s:e], np.array([e - s]))
+            np.testing.assert_allclose(tab["cum"][s:e], one["cum"])
             assert tab["totals"][v] == pytest.approx(g.weight[s:e].sum())
 
 
@@ -36,10 +37,10 @@ def test_alias_tables_match_per_vertex_init(small_graph):
     for v in range(0, g.num_vertices, 131):
         s, e = int(g.indptr[v]), int(g.indptr[v + 1])
         if e > s:
-            p, a1, a2 = alias.init(g.weight[s:e])
-            np.testing.assert_allclose(tab["prob"][s:e], p)
-            assert np.array_equal(tab["a1"][s:e], a1)
-            assert np.array_equal(tab["a2"][s:e], a2)
+            one = alias.init(g.weight[s:e], np.array([e - s]))
+            np.testing.assert_allclose(tab["prob"][s:e], one["prob"])
+            assert np.array_equal(tab["a1"][s:e], one["a1"])
+            assert np.array_equal(tab["a2"][s:e], one["a2"])
 
 
 def test_rej_tables(small_graph):
@@ -66,23 +67,25 @@ def test_build_caches(small_graph):
 def test_its_dynamic_init_matches_segments():
     w = np.array([1.0, 2.0, 4.0, 1.0, 1.0])
     counts = np.array([2, 3])
-    cum, totals = preprocess.its_dynamic_init(w, counts)
-    assert list(cum) == [1.0, 3.0, 4.0, 5.0, 6.0]
-    assert list(totals) == [3.0, 6.0]
+    tab = its.init(w, counts)
+    assert list(tab["cum"]) == [1.0, 3.0, 4.0, 5.0, 6.0]
+    assert list(tab["totals"]) == [3.0, 6.0]
 
 
 def test_alias_dynamic_init_ok_mask():
     w = np.array([1.0, 1.0, 0.0, 0.0])
     counts = np.array([2, 2])
-    prob, a1, a2, ok = preprocess.alias_dynamic_init(w, counts)
-    assert list(ok) == [True, False]
+    tab = alias.init(w, counts)
+    starts = np.cumsum(counts) - counts
+    # A zero-mass segment keeps alias entries of -1: that is its mask.
+    assert list(tab["a1"][starts] >= 0) == [True, False]
+    assert list(tab["a1"][2:]) == [-1, -1]
 
 
 def test_rej_dynamic_init():
     w = np.array([1.0, 5.0, 2.0])
     counts = np.array([2, 0, 1])
-    pm = preprocess.rej_dynamic_init(w, counts)
-    assert list(pm) == [5.0, 0.0, 2.0]
+    assert list(rej.init(w, counts)["pmax"]) == [5.0, 0.0, 2.0]
 
 
 def test_unknown_method(small_graph):

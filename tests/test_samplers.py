@@ -1,9 +1,9 @@
-"""The five sampling methods: init properties, scalar==batch, distributions."""
+"""The five sampling methods through the registry contract: init
+properties, scalar == batch, distributions."""
 import numpy as np
 import pytest
 
-from repro.core import rng
-from repro.sampling import alias, its, naive, orej, rej
+from repro.sampling import METHODS, SAMPLERS, alias, its, naive, orej, rej
 from repro.sampling.base import MAX_ATTEMPTS
 
 SEED = 17
@@ -26,12 +26,23 @@ def _target(w: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
+def _init_one(module, w):
+    """A method's init over one segment holding all of ``w``."""
+    return module.init(w, np.array([len(w)]))
+
+
+def _draws(module, tab, d, n):
+    """Scalar generation for queries 0..n-1 over the segment [0, d) at row 0."""
+    return np.array([module.generate_scalar(tab, 0, d, 0, SEED, q, 0) for q in range(n)])
+
+
 # ---------------------------------------------------------------- ALIAS ----
 
 @pytest.mark.parametrize("case", list(WEIGHT_CASES))
 def test_alias_tables_valid(case):
     w = WEIGHT_CASES[case]
-    prob, a1, a2 = alias.init(w)
+    tab = _init_one(alias, w)
+    prob, a1, a2 = tab["prob"], tab["a1"], tab["a2"]
     d = len(w)
     assert np.all((prob >= 0) & (prob <= 1))
     assert np.array_equal(a1, np.arange(d))
@@ -44,22 +55,16 @@ def test_alias_tables_valid(case):
     np.testing.assert_allclose(p, _target(w), atol=1e-12)
 
 
-def test_alias_zero_total_raises():
-    with pytest.raises(ValueError):
-        alias.init(np.zeros(3))
-
-
 def test_alias_empty():
-    prob, a1, a2 = alias.init(np.zeros(0))
-    assert len(prob) == 0
+    tab = _init_one(alias, np.zeros(0))
+    assert len(tab["prob"]) == 0
+    assert alias.generate_scalar(tab, 0, 0, 0, SEED, 0, 0) == -1
 
 
 @pytest.mark.parametrize("case", ["uniform", "ramp", "skewed"])
 def test_alias_distribution(case):
     w = WEIGHT_CASES[case]
-    tables = alias.init(w)
-    n = 60_000
-    draws = np.array([alias.generate_scalar(tables, SEED, q, 0) for q in range(n)])
+    draws = _draws(alias, _init_one(alias, w), len(w), 60_000)
     np.testing.assert_allclose(_empirical(draws, len(w)), _target(w), atol=0.01)
 
 
@@ -68,21 +73,17 @@ def test_alias_distribution(case):
 @pytest.mark.parametrize("case", ["uniform", "ramp", "skewed", "with_zeros"])
 def test_its_distribution(case):
     w = WEIGHT_CASES[case]
-    cum = its.init(w)
-    n = 60_000
-    draws = np.array([its.generate_scalar(cum, SEED, q, 0) for q in range(n)])
+    draws = _draws(its, _init_one(its, w), len(w), 60_000)
     np.testing.assert_allclose(_empirical(draws, len(w)), _target(w), atol=0.01)
 
 
 def test_its_zero_mass_returns_dead():
-    assert its.generate_scalar(np.zeros(3), SEED, 0, 0) == -1
+    assert its.generate_scalar(_init_one(its, np.zeros(3)), 0, 3, 0, SEED, 0, 0) == -1
 
 
 def test_its_never_picks_zero_weight():
     w = WEIGHT_CASES["with_zeros"]
-    cum = its.init(w)
-    draws = [its.generate_scalar(cum, SEED, q, 0) for q in range(5000)]
-    assert set(draws) <= {1, 3}
+    assert set(_draws(its, _init_one(its, w), len(w), 5000)) <= {1, 3}
 
 
 # ------------------------------------------------------------------ REJ ----
@@ -90,22 +91,18 @@ def test_its_never_picks_zero_weight():
 @pytest.mark.parametrize("case", ["uniform", "ramp", "skewed"])
 def test_rej_distribution(case):
     w = WEIGHT_CASES[case]
-    pm = rej.init(w)
-    n = 60_000
-    draws = np.array([rej.generate_scalar(w, pm, SEED, q, 0) for q in range(n)])
+    draws = _draws(rej, _init_one(rej, w), len(w), 60_000)
     np.testing.assert_allclose(_empirical(draws, len(w)), _target(w), atol=0.01)
 
 
 def test_rej_zero_mass_dead():
-    assert rej.generate_scalar(np.zeros(3), 0.0, SEED, 0, 0) == -1
-    assert rej.generate_scalar(np.zeros(0), 1.0, SEED, 0, 0) == -1
+    assert rej.generate_scalar(_init_one(rej, np.zeros(3)), 0, 3, 0, SEED, 0, 0) == -1
+    assert rej.generate_scalar(_init_one(rej, np.zeros(0)), 0, 0, 0, SEED, 0, 0) == -1
 
 
 def test_rej_never_picks_zero_weight():
     w = WEIGHT_CASES["with_zeros"]
-    pm = rej.init(w)
-    draws = [rej.generate_scalar(w, pm, SEED, q, 0) for q in range(5000)]
-    assert set(draws) <= {1, 3}
+    assert set(_draws(rej, _init_one(rej, w), len(w), 5000)) <= {1, 3}
 
 
 # ---------------------------------------------------------------- O-REJ ----
@@ -114,29 +111,24 @@ def test_rej_never_picks_zero_weight():
 def test_orej_distribution_any_valid_bound(pstar_slack):
     """O-REJ must sample correctly for ANY p* >= max weight."""
     w = WEIGHT_CASES["ramp"]
-    pstar = float(w.max()) * pstar_slack
-    probe = lambda idx, rows: w[idx]
-    n = 60_000
-    draws = np.array(
-        [orej.generate_scalar(len(w), 0, pstar, probe, SEED, q, 0) for q in range(n)]
-    )
+    tab = {"pstar": float(w.max()) * pstar_slack, "probe": lambda idx, rows: w[idx]}
+    draws = _draws(orej, tab, len(w), 60_000)
     np.testing.assert_allclose(_empirical(draws, len(w)), _target(w), atol=0.012)
 
 
 def test_orej_dead_on_zero_pstar():
-    assert orej.generate_scalar(5, 0, 0.0, lambda i, r: i, SEED, 0, 0) == -1
+    assert orej.generate_scalar({"pstar": 0.0}, 0, 5, 0, SEED, 0, 0, lambda i, r: i) == -1
 
 
 def test_orej_exhausts_attempts_on_zero_mass():
     probe = lambda idx, rows: np.zeros(len(idx))
-    assert orej.generate_scalar(4, 0, 1.0, probe, SEED, 0, 0) == -1
+    assert orej.generate_scalar({"pstar": 1.0}, 0, 4, 0, SEED, 0, 0, probe) == -1
 
 
 # ---------------------------------------------------------------- NAIVE ----
 
 def test_naive_uniform():
-    n = 60_000
-    draws = np.array([naive.generate_scalar(7, SEED, q, 0) for q in range(n)])
+    draws = _draws(naive, {}, 7, 60_000)
     np.testing.assert_allclose(_empirical(draws, 7), np.full(7, 1 / 7), atol=0.01)
 
 
@@ -144,70 +136,47 @@ def test_naive_batch_matches_scalar():
     deg = np.array([3, 7, 1, 12] * 10)
     qids = np.arange(40)
     steps = np.full(40, 2)
-    batch = naive.generate_batch(deg, SEED, qids, steps)
+    batch = naive.generate_batch({}, np.zeros(40, dtype=np.int64), deg, qids, SEED, qids, steps)
     for i in range(40):
-        assert batch[i] == naive.generate_scalar(int(deg[i]), SEED, i, 2)
+        assert batch[i] == naive.generate_scalar({}, 0, int(deg[i]), i, SEED, i, 2)
 
 
 # --------------------------------------------- scalar == batch (all) -------
 
 def _flat_tables(ws):
-    """Concatenate per-walker tables the way the ring engine sees them."""
+    """Concatenate per-walker segments the way the ring engine sees them."""
     counts = np.array([len(w) for w in ws])
     starts = np.cumsum(counts) - counts
     return counts, starts
 
 
 @pytest.mark.parametrize("step", [0, 5])
-def test_its_batch_matches_scalar(step):
-    ws = [WEIGHT_CASES[c] for c in ("uniform", "ramp", "skewed", "tiny", "with_zeros")]
-    counts, starts = _flat_tables(ws)
-    cum_flat = np.concatenate([its.init(w) for w in ws])
-    totals = np.array([w.sum() for w in ws])
-    qids = np.arange(len(ws))
-    got = its.generate_batch(cum_flat, starts, counts, totals, SEED, qids, np.full(len(ws), step))
-    for i, w in enumerate(ws):
-        assert got[i] == its.generate_scalar(its.init(w), SEED, i, step)
-
-
-@pytest.mark.parametrize("step", [0, 5])
-def test_alias_batch_matches_scalar(step):
-    ws = [WEIGHT_CASES[c] for c in ("uniform", "ramp", "skewed", "tiny")]
-    counts, starts = _flat_tables(ws)
-    tabs = [alias.init(w) for w in ws]
-    prob = np.concatenate([t[0] for t in tabs])
-    a1 = np.concatenate([t[1] for t in tabs])
-    a2 = np.concatenate([t[2] for t in tabs])
-    qids = np.arange(len(ws))
-    got = alias.generate_batch(prob, a1, a2, starts, counts, SEED, qids, np.full(len(ws), step))
-    for i, t in enumerate(tabs):
-        assert got[i] == alias.generate_scalar(t, SEED, i, step)
-
-
-@pytest.mark.parametrize("step", [0, 3])
-def test_rej_batch_matches_scalar(step):
-    ws = [WEIGHT_CASES[c] for c in ("uniform", "ramp", "skewed", "tiny", "with_zeros")]
+@pytest.mark.parametrize("method", METHODS)
+def test_batch_matches_scalar(method, step):
+    """Each registry record: init over random ragged segments plus an empty
+    and a zero-mass one, then both generation forms pick the same edge for
+    every walker, and neither moves a walker off the empty or zero-mass
+    segment (NAIVE ignores weights, so only the empty one for it)."""
+    rec = SAMPLERS[method]
+    rs = np.random.default_rng(step)
+    ws = [rs.uniform(0.0, 4.0, rs.integers(1, 12)) for _ in range(40)]
+    ws += [np.zeros(0), np.zeros(4)]
     counts, starts = _flat_tables(ws)
     flat = np.concatenate(ws)
-    pmax = np.array([rej.init(w) for w in ws])
+    if rec.init is not None:
+        tab = rec.init(flat, counts)
+    elif method == "orej":
+        tab = {"pstar": 4.0, "probe": lambda idx, rows: flat[idx]}
+    else:
+        tab = {}
     qids = np.arange(len(ws))
-    got = rej.generate_batch(flat, starts, counts, pmax, SEED, qids, np.full(len(ws), step))
-    for i, w in enumerate(ws):
-        assert got[i] == rej.generate_scalar(w, rej.init(w), SEED, i, step)
-
-
-@pytest.mark.parametrize("step", [0, 3])
-def test_orej_batch_matches_scalar(step):
-    ws = [WEIGHT_CASES[c] for c in ("uniform", "ramp", "skewed")]
-    counts, starts = _flat_tables(ws)
-    flat = np.concatenate(ws)
-    pstar = np.array([w.max() * 1.3 for w in ws])
-    probe = lambda idx, rows: flat[idx]
-    qids = np.arange(len(ws))
-    got = orej.generate_batch(starts, counts, pstar, probe, SEED, qids, np.full(len(ws), step))
-    for i, w in enumerate(ws):
-        p = lambda idx, rows: w[idx]
-        assert got[i] == orej.generate_scalar(len(w), 0, float(w.max() * 1.3), p, SEED, i, step)
+    got = rec.generate_batch(tab, starts, counts, qids, SEED, qids, np.full(len(ws), step))
+    want = [rec.generate_scalar(tab, int(starts[i]), int(counts[i]), i, SEED, i, step)
+            for i in range(len(ws))]
+    assert got.tolist() == want
+    assert (got[:-2] >= 0).all()
+    assert got[-2] == -1
+    assert (got[-1] == -1) == (method != "naive")
 
 
 @pytest.mark.parametrize("step", [0, 5])
@@ -219,21 +188,23 @@ def test_rej_equals_orej_with_table_probe(step):
     rs = np.random.default_rng(step)
     ws = [rs.uniform(0.0, 4.0, rs.integers(1, 12)) for _ in range(40)]
     ws += [np.zeros(0), np.zeros(4), np.full(6, 1e-9)]
-    pmax = np.array([rej.init(w) for w in ws])
-    pmax[-1] = 1.0  # forced give-up
     counts, starts = _flat_tables(ws)
     flat = np.concatenate(ws)
+    rtab = rej.init(flat, counts)
+    rtab["pmax"][-1] = 1.0  # forced give-up
+    probe = lambda idx, rows: flat[idx]
     qids = np.arange(len(ws))
     steps = np.full(len(ws), step)
-    got = rej.generate_batch(flat, starts, counts, pmax, SEED, qids, steps)
-    want = orej.generate_batch(starts, counts, pmax, lambda idx, rows: flat[idx],
+    got = rej.generate_batch(rtab, starts, counts, qids, SEED, qids, steps)
+    want = orej.generate_batch({"pstar": rtab["pmax"], "probe": probe}, starts, counts, qids,
                                SEED, qids, steps)
     assert np.array_equal(got, want)
-    for i, w in enumerate(ws):
+    for i in range(len(ws)):
+        s, d = int(starts[i]), int(counts[i])
         rej_probed, orej_probed = [], []
-        x = rej.generate_scalar(w, float(pmax[i]), SEED, i, step, rej_probed)
-        y = orej.generate_scalar(len(w), 0, float(pmax[i]), lambda idx, rows: w[idx],
-                                 SEED, i, step, probed=orej_probed)
+        x = rej.generate_scalar(rtab, s, d, i, SEED, i, step, probed=rej_probed)
+        y = orej.generate_scalar({"pstar": float(rtab["pmax"][i]), "probe": probe},
+                                 s, d, i, SEED, i, step, probed=orej_probed)
         assert x == y == got[i]
         assert rej_probed == orej_probed
     assert got[-3] == got[-2] == got[-1] == -1
@@ -243,10 +214,8 @@ def test_rej_equals_orej_with_table_probe(step):
 
 def test_batch_draws_differ_across_walkers():
     """Walkers in one batch must not share random draws."""
-    w = np.ones(50)
-    cum = its.init(w)
-    counts = np.full(30, 50)
-    starts = np.zeros(30, dtype=np.int64)
-    got = its.generate_batch(np.tile(cum, 1), starts, counts, np.full(30, 50.0),
-                             SEED, np.arange(30), np.zeros(30, dtype=np.int64))
+    tab = _init_one(its, np.ones(50))
+    got = its.generate_batch(tab, np.zeros(30, dtype=np.int64), np.full(30, 50),
+                             np.zeros(30, dtype=np.int64), SEED, np.arange(30),
+                             np.zeros(30, dtype=np.int64))
     assert len(np.unique(got)) > 10

@@ -1,4 +1,6 @@
 """Distribution-level correctness of the four RW algorithms."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,12 +28,7 @@ def test_deepwalk_static_matches_edge_weights(star_graph):
 @pytest.mark.parametrize("sampler", ["its", "alias", "rej", "orej"])
 def test_samplers_agree_distributionally(sampler, star_graph):
     """All biased samplers target the same stationary step distribution."""
-    from dataclasses import replace
-
     app = make_app("deepwalk", length=1).with_sampler(sampler)
-    # the star fixture's weights exceed the suite's [1,5) protocol, so the
-    # O-REJ MaxWeight bound must be raised accordingly
-    app = replace(app, max_weight=float(star_graph.weight.max()))
     n = 30_000
     out = run_walks(star_graph, app, np.zeros(n, dtype=np.int64),
                     engine="interleaved", seed=SEED)
@@ -42,17 +39,19 @@ def test_samplers_agree_distributionally(sampler, star_graph):
     )
 
 
-def test_orej_underestimated_bound_biases(star_graph):
-    """§2.3/§2.4: O-REJ is only correct for p* >= max weight — an
-    underestimated user bound clips heavy edges. Negative control."""
-    app = make_app("deepwalk", length=1).with_sampler("orej")  # p*=5 < max 8
-    n = 30_000
-    out = run_walks(star_graph, app, np.zeros(n, dtype=np.int64),
-                    engine="interleaved", seed=SEED)
-    firsts = np.array([p[1] for p in out.paths().values()])
-    w = star_graph.weight[star_graph.edge_slice(0)]
-    emp = np.bincount(firsts, minlength=9)[1:] / n
-    assert np.abs(emp - w / w.sum()).max() > 0.02  # visibly biased
+@pytest.mark.parametrize("engine", ["sequential", "interleaved"])
+def test_orej_bound_below_weights_raises(engine):
+    """§2.3/§2.4: O-REJ is only correct for p* >= max weight — a user bound
+    below a probed weight would clip heavy edges, so both forms of the
+    attempt loop refuse it instead of walking biased."""
+    n_leaf = 10
+    src = np.concatenate([np.zeros(n_leaf, dtype=np.int64), np.arange(1, n_leaf + 1)])
+    dst = np.concatenate([np.arange(1, n_leaf + 1), np.zeros(n_leaf, dtype=np.int64)])
+    w = np.concatenate([np.arange(1.0, n_leaf + 1.0), np.ones(n_leaf)])
+    g = from_arrays(src, dst, n_leaf + 1, weight=w, name="heavy")
+    app = replace(make_app("deepwalk", length=1).with_sampler("orej"), max_weight=5.0)
+    with pytest.raises(ValueError, match="above its bound"):
+        run_walks(g, app, np.zeros(2000, dtype=np.int64), engine=engine, seed=SEED)
 
 
 def test_unbiased_deepwalk_uniform(star_graph):
