@@ -59,7 +59,6 @@ SYSTEMS: dict[str, SystemSpec] = {
     "GW": SystemSpec(
         name="GW", engine="asp", parallel=True,
         samplers={"ppr": "naive"}, supports=("ppr",),
-        engine_kwargs={"n_graph_partitions": 8},
     ),
     "KK": SystemSpec(
         name="KK", engine="bsp", parallel=True,
@@ -81,12 +80,10 @@ def run_system(
     sources: np.ndarray,
     seed: int = 0,
     qids: np.ndarray | None = None,
-    **overrides,
 ) -> WalkOutput:
     """Run one system's engine over the given queries in-process."""
     spec = SYSTEMS[system]
-    kw = dict(spec.engine_kwargs)
-    kw.update(overrides)
     return eng.run_walks(
-        csr, spec.app_for(app), sources, engine=spec.engine, seed=seed, qids=qids, **kw
+        csr, spec.app_for(app), sources, engine=spec.engine, seed=seed, qids=qids,
+        **spec.engine_kwargs
     )

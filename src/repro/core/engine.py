@@ -17,18 +17,23 @@ strategy — which is the paper's entire subject:
   runs while it stays inside the loaded partition, the scheduler loads the
   partition with the most parked queries (swap count reported).
 
+Every engine owns the same counter layout: a walker's step key
+``rng.key(seed, qid, length)`` is hashed once when it reaches a length —
+at its source, then after each move — and finished by two draws, that
+length's Update coin (``model.TERM_DRAW``) and the Move from it.
+
 The per-step timing hooks (``timers``) feed Table 2's compute-p(e)/Init/
 Gen breakdown.
 """
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 import numpy as np
 
+from repro.core import rng
 from repro.core.model import RandomWalkApp, WalkerType
-from repro.core.walker import WalkOutput, _OutBuffer
+from repro.core.walker import Walker, WalkOutput, _OutBuffer
 from repro.graph.csr import CSRGraph
 from repro.sampling import gathers, sampler_for
 from repro.sampling.base import flatten_segments
@@ -36,6 +41,9 @@ from repro.sampling.base import flatten_segments
 MAX_RING_SIZE = 1024
 """Bound of the §5.4 ring-size sweep (Table 9). The tuner returns it on
 every dataset (EXPERIMENTS deviation 3), so TRW runs at it."""
+
+N_GRAPH_PARTITIONS = 8
+"""GraphWalker's vertex-range partitions in :func:`run_asp`."""
 
 
 def _tick(timers: dict, key: str, t0: float) -> float:
@@ -50,27 +58,33 @@ def _tick(timers: dict, key: str, t0: float) -> float:
 # so all of them walk identically.
 # ---------------------------------------------------------------------------
 
-def _make_scalar_stepper(
-    csr: CSRGraph, app: RandomWalkApp, seed: int, timers: dict | None = None
-) -> Callable[..., int]:
-    """Return ``step(qid, cur, prev, length, probed=None) -> edge slot`` of
-    the move from ``cur`` (-1 = stop). ``probed`` collects the sampler's
-    probed candidates (see :class:`repro.sampling.Sampler`)."""
-    indptr = csr.indptr
+def _make_scalar_stepper(csr: CSRGraph, app: RandomWalkApp, seed: int, timers: dict | None = None):
+    """Return ``(walkers, step)``. ``walkers(qids, sources)`` is one new
+    walker per query at its source, their keys hashed in one call;
+    ``step(w, probed=None)`` runs one Gather–Move–Update on walker ``w``
+    and returns the edge slot it moved along (-1: no move).
+    A move advances ``w`` and hashes its key at the new length, which
+    Update's coin and the next Move finish; no move or Update's stop
+    clears ``w.live``. ``probed`` collects the sampler's probed candidates
+    (see :class:`repro.sampling.Sampler`)."""
+    indptr, dst = csr.indptr, csr.dst
     sampler = sampler_for(app)
     run_tab = sampler.tables(csr, app)
     gather = gathers(app)
     dynamic = app.walker_type is WalkerType.DYNAMIC
     clock = time.perf_counter if timers is not None else None
 
-    def step(qid: int, cur: int, prev: int, length: int, probed: list | None = None) -> int:
-        s, e = int(indptr[cur]), int(indptr[cur + 1])
-        d = e - s
-        if d == 0:
-            return -1
+    def walkers(qids: np.ndarray, sources: np.ndarray) -> list[Walker]:
+        keys = rng.key(seed, qids, 0)
+        return [Walker(q, v, k) for q, v, k in zip(qids.tolist(), sources.tolist(), keys)]
+
+    def move(w: Walker, s: int, d: int, probed: list | None) -> int:
+        """Gather (dynamic RW with an init) and Move: the local edge index."""
         weight = None  # static RW never calls the Weight UDF at query time
         if dynamic:
-            def weight(flat_idx: np.ndarray, rows=None) -> np.ndarray:
+            prev, length = w.prev, w.length
+
+            def weight(flat_idx: np.ndarray, rows) -> np.ndarray:
                 """The Weight UDF at this walker's (prev, length)."""
                 n = len(flat_idx)
                 return app.weight_fn(
@@ -78,21 +92,34 @@ def _make_scalar_stepper(
                 )
 
         t0 = clock() if clock else 0.0
-        tab, off, row = run_tab, s, cur
+        tab, off, row = run_tab, s, w.cur
         if gather:
             # Gather: apply the Weight UDF to E_cur, then init over it.
-            w = weight(np.arange(s, e, dtype=np.int64))
+            w_edges = weight(np.arange(s, s + d, dtype=np.int64), None)
             if clock:
                 t0 = _tick(timers, "weight", t0)
-            tab, off, row = sampler.init(w, np.array([d])), 0, 0
+            tab, off, row = sampler.init(w_edges, np.array([d])), 0, 0
             if clock:
                 t0 = _tick(timers, "init", t0)
-        x = sampler.generate_scalar(tab, off, d, row, seed, qid, length, weight, probed)
+        x = sampler.generate_scalar(tab, off, d, row, w.key, weight, probed)
         if clock:
             _tick(timers, "gen", t0)
-        return s + x if x >= 0 else -1
+        return x
 
-    return step
+    def step(w: Walker, probed: list | None = None) -> int:
+        s = int(indptr[w.cur])
+        d = int(indptr[w.cur + 1]) - s
+        x = move(w, s, d, probed) if d else -1
+        if x < 0:
+            w.live = False
+            return -1
+        # Update: advance, hash the new length's key, flip its coin.
+        w.prev, w.cur, w.length = w.cur, int(dst[s + x]), w.length + 1
+        w.key = rng.key(seed, w.qid, w.length)
+        w.live = not app.stop_scalar(w.key, w.length)
+        return s + x
+
+    return walkers, step
 
 
 def run_sequential(
@@ -106,23 +133,13 @@ def run_sequential(
     """Algorithm 2: evaluate queries one by one, scalar steps (wo/si)."""
     sources = np.asarray(sources, dtype=np.int64)
     qids = np.arange(len(sources), dtype=np.int64) if qids is None else np.asarray(qids)
-    step = _make_scalar_stepper(csr, app, seed, timers)
-    dst = csr.dst
+    walkers, step = _make_scalar_stepper(csr, app, seed, timers)
     out = _OutBuffer()
-    for qid, src in zip(qids, sources):
-        qid, cur = int(qid), int(src)
-        prev, length = -1, 0
-        path = [cur]
-        while True:
-            slot = step(qid, cur, prev, length)
-            if slot < 0:
-                break
-            prev, cur = cur, int(dst[slot])
-            length += 1
-            path.append(cur)
-            if app.stop_scalar(seed, qid, length):
-                break
-        out.add(np.full(len(path), qid), np.arange(len(path)), np.array(path))
+    for w in walkers(qids, sources):
+        path = [w.cur]
+        while w.live and step(w) >= 0:
+            path.append(w.cur)
+        out.add(np.full(len(path), w.qid), np.arange(len(path)), np.array(path))
     return out.finish(timers=timers)
 
 
@@ -165,6 +182,8 @@ def run_interleaved(
     r_cur = sources[:fill].copy()
     r_prev = np.full(fill, -1, dtype=np.int64)
     r_len = np.zeros(fill, dtype=np.int64)
+    keys0 = rng.key(seed, qids, 0)  # each walker's key at its source
+    r_key = keys0[:fill]
     submitted = fill
     iters = 0
 
@@ -190,7 +209,7 @@ def run_interleaved(
             tab, seg_starts, rows = sampler.init(w, counts), np.cumsum(counts) - counts, slice(None)
             if clock:
                 t0 = _tick(timers, "init", t0)
-        local = sampler.generate_batch(tab, seg_starts, counts, rows, seed, r_qid, r_len, probe)
+        local = sampler.generate_batch(tab, seg_starts, counts, rows, r_key, probe)
         if clock:
             _tick(timers, "gen", t0)
 
@@ -200,12 +219,14 @@ def run_interleaved(
         safe_idx = np.where(moved, starts + local, 0)
         nxt = np.where(moved, dst_arr[safe_idx], -1)
 
-        # -- Update: record moves, apply termination, refill the ring. --
+        # -- Update: record moves, hash each walker's key at its new length,
+        # apply termination, refill the ring. --
         new_len = r_len + 1
         if moved.any():
             out.add(r_qid[moved], new_len[moved].astype(np.int32), nxt[moved])
+        r_key = rng.key(seed, r_qid, new_len)
         stop = ~moved
-        stop[moved] |= app.stop_mask(seed, r_qid[moved], new_len[moved])
+        stop[moved] |= app.stop_mask(r_key[moved], new_len[moved])
         r_prev = np.where(moved, r_cur, r_prev)
         r_cur = np.where(moved, nxt, r_cur)
         r_len = new_len
@@ -215,16 +236,16 @@ def run_interleaved(
             n_free = int(stop.sum())
             n_new = min(n_free, n - submitted)
             if n_new > 0:
-                new_q = qids[submitted : submitted + n_new]
-                new_s = sources[submitted : submitted + n_new]
+                new = slice(submitted, submitted + n_new)
                 submitted += n_new
-                r_qid = np.concatenate([r_qid[keep], new_q])
-                r_cur = np.concatenate([r_cur[keep], new_s])
+                r_qid = np.concatenate([r_qid[keep], qids[new]])
+                r_cur = np.concatenate([r_cur[keep], sources[new]])
                 r_prev = np.concatenate([r_prev[keep], np.full(n_new, -1, dtype=np.int64)])
                 r_len = np.concatenate([r_len[keep], np.zeros(n_new, dtype=np.int64)])
+                r_key = np.concatenate([r_key[keep], keys0[new]])
             else:
-                r_qid, r_cur, r_prev, r_len = (
-                    r_qid[keep], r_cur[keep], r_prev[keep], r_len[keep],
+                r_qid, r_cur, r_prev, r_len, r_key = (
+                    r_qid[keep], r_cur[keep], r_prev[keep], r_len[keep], r_key[keep],
                 )
     return out.finish(timers=timers, meta={"ring_iterations": iters, "ring_size": k})
 
@@ -246,27 +267,17 @@ def run_bsp(
     sources = np.asarray(sources, dtype=np.int64)
     n = len(sources)
     qids = np.arange(n, dtype=np.int64) if qids is None else np.asarray(qids, dtype=np.int64)
-    step = _make_scalar_stepper(csr, app, seed)
-    cur = sources.copy()
-    prev = np.full(n, -1, dtype=np.int64)
-    length = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
+    walkers, step = _make_scalar_stepper(csr, app, seed)
+    active = walkers(qids, sources)
     out = _OutBuffer()
     out.add(qids, np.zeros(n, dtype=np.int32), sources)
     supersteps = 0
-    while active.any():
+    while active:
         supersteps += 1
-        for i in np.flatnonzero(active):
-            slot = step(int(qids[i]), int(cur[i]), int(prev[i]), int(length[i]))
-            if slot < 0:
-                active[i] = False
-                continue
-            nxt = csr.dst[slot]
-            prev[i], cur[i] = cur[i], nxt
-            length[i] += 1
-            out.add([qids[i]], [length[i]], [nxt])
-            if app.stop_scalar(seed, int(qids[i]), int(length[i])):
-                active[i] = False
+        for w in active:
+            if step(w) >= 0:
+                out.add([w.qid], [w.length], [w.cur])
+        active = [w for w in active if w.live]
     return out.finish(meta={"supersteps": supersteps})
 
 
@@ -276,29 +287,29 @@ def run_asp(
     sources: np.ndarray,
     qids: np.ndarray | None = None,
     seed: int = 0,
-    n_graph_partitions: int = 8,
 ) -> WalkOutput:
     """GraphWalker's ASP model (in-memory configuration, unbiased only).
 
-    Vertices are split into contiguous ranges; parked queries wait for
-    their partition to be "loaded" (the scheduler picks the fullest one).
-    A loaded query runs until it terminates or leaves the partition.
+    Vertices are split into ``N_GRAPH_PARTITIONS`` contiguous ranges;
+    parked queries wait for their partition to be "loaded" (the scheduler
+    picks the fullest one). A loaded query runs until it terminates or
+    leaves the partition.
     """
     if app.walker_type is not WalkerType.UNBIASED:
         raise ValueError("GraphWalker supports unbiased RW only (§2.4)")
     sources = np.asarray(sources, dtype=np.int64)
     n = len(sources)
     qids = np.arange(n, dtype=np.int64) if qids is None else np.asarray(qids, dtype=np.int64)
-    step = _make_scalar_stepper(csr, app, seed)
+    walkers, step = _make_scalar_stepper(csr, app, seed)
     nv = csr.num_vertices
-    P = max(1, min(n_graph_partitions, nv))
+    P = max(1, min(N_GRAPH_PARTITIONS, nv))
 
     def part_of(v: int) -> int:
         return min(P - 1, v * P // nv)
 
-    queues: list[list[tuple[int, int, int, int]]] = [[] for _ in range(P)]
-    for qid, src in zip(qids, sources):
-        queues[part_of(int(src))].append((int(qid), int(src), -1, 0))
+    queues: list[list[Walker]] = [[] for _ in range(P)]
+    for w in walkers(qids, sources):
+        queues[part_of(w.cur)].append(w)
     out = _OutBuffer()
     out.add(qids, np.zeros(n, dtype=np.int32), sources)
     swaps = 0
@@ -307,21 +318,13 @@ def run_asp(
         p = max(range(P), key=lambda i: len(queues[i]))
         batch, queues[p] = queues[p], []
         swaps += 1
-        for qid, cur, prev, length in batch:
-            while True:
-                slot = step(qid, cur, prev, length)
-                if slot < 0:
-                    remaining -= 1
-                    break
-                prev, cur = cur, int(csr.dst[slot])
-                length += 1
-                out.add([qid], [length], [cur])
-                if app.stop_scalar(seed, qid, length):
-                    remaining -= 1
-                    break
-                if part_of(cur) != p:
-                    queues[part_of(cur)].append((qid, cur, prev, length))
-                    break
+        for w in batch:
+            while w.live and part_of(w.cur) == p and step(w) >= 0:
+                out.add([w.qid], [w.length], [w.cur])
+            if w.live:
+                queues[part_of(w.cur)].append(w)
+            else:
+                remaining -= 1
     return out.finish(meta={"partition_loads": swaps, "n_partitions": P})
 
 

@@ -21,10 +21,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core import rng
 from repro.graph.csr import CSRGraph
 
-# Draw index reserved for the termination coin — sampler draws stay below
-# 2*MAX_ATTEMPTS+1 (``repro.sampling.base``), so the streams never collide.
+# Draw index of the termination coin on a walker's step key — the Move's
+# draws stay below 2*MAX_ATTEMPTS (``repro.sampling.base``), so the two
+# never collide.
 TERM_DRAW = 10_000
 
 
@@ -65,20 +67,21 @@ class RandomWalkApp:
 
         return replace(self, sampler=sampler)
 
-    def stop_mask(self, seed: int, qids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Vectorized Update: should each walker terminate at its new length?"""
-        from repro.core import rng
-
-        stop = np.zeros(len(qids), dtype=bool)
+    def stop_mask(self, keys: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Vectorized Update: should each walker terminate at its new length?
+        ``keys`` are the walkers' step keys at those lengths (``rng.key``)."""
+        stop = np.zeros(len(lengths), dtype=bool)
         if self.target_length is not None:
             stop |= lengths >= self.target_length
         if self.stop_prob is not None:
-            stop |= rng.uniform(seed, qids, lengths, TERM_DRAW) < self.stop_prob
+            stop |= rng.uniform(keys, TERM_DRAW) < self.stop_prob
             stop |= lengths >= self.max_len_cap
         return stop
 
-    def stop_scalar(self, seed: int, qid: int, length: int) -> bool:
+    def stop_scalar(self, key, length: int) -> bool:
         """Scalar Update — same coin as the vectorized form."""
-        return bool(
-            self.stop_mask(seed, np.array([qid]), np.array([length]))[0]
-        )
+        stop = self.target_length is not None and length >= self.target_length
+        if self.stop_prob is not None:
+            coin = rng.uniform_scalar(key, TERM_DRAW) < self.stop_prob
+            stop = stop or coin or length >= self.max_len_cap
+        return stop

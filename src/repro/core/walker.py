@@ -1,9 +1,11 @@
 """Walker state and walk output containers (paper Appendix B).
 
-Walkers carry an ID, current/previous vertex and length; the ring engine
-keeps them in structure-of-arrays form. Output is the long-format walk
-table ``(query_id, step, vertex)`` — the DataFrame-friendly shape the
-Spark runner emits, with step 0 being the source vertex.
+Walkers carry an ID, current/previous vertex, length and the step key of
+that length (``rng.key``); the scalar engines keep one :class:`Walker` per
+query, the ring engine keeps them in structure-of-arrays form. Output is
+the long-format walk table ``(query_id, step, vertex)`` — the
+DataFrame-friendly shape the Spark runner emits, with step 0 being the
+source vertex.
 """
 from __future__ import annotations
 
@@ -48,6 +50,17 @@ class WalkOutput:
                 "vertex": self.vertices.astype(np.int64),
             }
         )
+
+
+class Walker:
+    """One query's walker in the scalar engines: Algorithm 2's state, its
+    step key at ``length`` and whether Update lets it move again."""
+
+    __slots__ = ("qid", "cur", "prev", "length", "key", "live")
+
+    def __init__(self, qid: int, source: int, key) -> None:
+        self.qid, self.cur, self.prev, self.length = qid, source, -1, 0
+        self.key, self.live = key, True
 
 
 class _OutBuffer:

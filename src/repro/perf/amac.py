@@ -28,16 +28,10 @@ AMAC_CYCLE_OVH = 30
 
 
 def _with_overhead(lanes: list, noncycle: int, cycle: int) -> list:
-    out = []
-    for lane in lanes:
-        out.append(
-            [
-                (s[0] + (cycle if (len(s) > 3 and s[3]) else noncycle), s[1],
-                 len(s) > 2 and s[2], len(s) > 3 and s[3])
-                for s in lane
-            ]
-        )
-    return out
+    return [
+        [(n + (cycle if cyc else noncycle), addr, br, cyc) for n, addr, br, cyc in lane]
+        for lane in lanes
+    ]
 
 
 def compare_mechanisms(

@@ -184,10 +184,10 @@ def run_trace(
 ) -> SimStats:
     """Execute lane stage-streams through the machine model.
 
-    Each lane is ``[(n_instr, addr_or_None, is_branch?), ...]`` (the third
-    element optional). Up to ``window`` lanes are in flight; a lane whose
-    memory operand is still outstanding is skipped (lane switch, cost
-    ``switch_cost``) — if *no* lane is ready the core stalls, which is the
+    Each lane is ``[(n_instr, addr_or_None, is_mispredicted_branch,
+    is_cycle_stage), ...]``; the simulator reads the first three. Up to
+    ``window`` lanes are in flight; a lane whose memory operand is still
+    outstanding is skipped (lane switch, cost ``switch_cost``) — if *no* lane is ready the core stalls, which is the
     memory-bound time TMAM reports. DRAM misses also contend for
     ``cfg.mshr`` slots.
     """
@@ -220,10 +220,8 @@ def run_trace(
             clock = t_next
             continue
         li = active[chosen]
-        stage = lanes[li][pos[li]]
-        n_instr = stage[0]
-        addr = stage[1]
-        if len(stage) > 2 and stage[2]:
+        n_instr, addr, branch, _ = lanes[li][pos[li]]
+        if branch:
             stats.branch_events += 1
             clock += cfg.mispredict_cost
         stats.instructions += n_instr

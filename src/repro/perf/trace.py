@@ -88,7 +88,7 @@ def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int =
     sampler = app.sampler
     ins = _instr(sampler)
     indptr, dst = csr.indptr, csr.dst
-    step = _make_scalar_stepper(csr, app, seed)
+    walkers, step = _make_scalar_stepper(csr, app, seed)
     dynamic = app.walker_type is WalkerType.DYNAMIC
     gather = gathers(app)
     rej = sampler == "rej"
@@ -99,11 +99,13 @@ def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int =
         lo, hi = int(indptr[prev]), int(indptr[prev + 1])
         return _bisect_probes(R_DST, 0, lo, hi, lambda mid: dst[mid] < cand)
 
-    for qid, src in enumerate(np.asarray(sources, dtype=np.int64)):
+    sources = np.asarray(sources, dtype=np.int64)
+    for w in walkers(np.arange(len(sources)), sources):
+        qid = w.qid
         lane: list = []
-        cur, prev, length = int(src), -1, 0
-        path = [cur]
-        while True:
+        path = [w.cur]
+        while w.live:
+            cur, prev = w.cur, w.prev
             s, e = int(indptr[cur]), int(indptr[cur + 1])
             d = e - s
             if d == 0:
@@ -123,7 +125,7 @@ def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int =
                     _scratch_base(qid), 0, d, 8, _INIT_INSTR.get(sampler, 3)
                 )
             probed: list = []
-            slot = step(qid, cur, prev, length, probed)
+            slot = step(w, probed)
             if sampler in ("rej", "orej"):
                 # Load p* (REJ), then one probe + test per attempt, emitted
                 # even when the walker gives up.
@@ -166,11 +168,7 @@ def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int =
                 lane.append((ins["S5"], None, False, False))
             else:
                 lane.append((ins["S3"], None, False, False))
-            prev, cur = cur, int(dst[slot])
-            length += 1
-            path.append(cur)
-            if app.stop_scalar(seed, qid, length):
-                break
+            path.append(w.cur)
         yield lane, path
 
 

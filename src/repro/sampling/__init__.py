@@ -7,8 +7,10 @@ segments of weights — one per vertex for Algorithm 3, one per walker for a
 dynamic RW step — so whole-graph and per-step tables share one layout; and
 generation in a scalar form (sequential / BSP / ASP engines) and a
 vectorized batch form over a ring of walkers (step-interleaving engine),
-which read either layout. Both forms consume the counter RNG with the
-same (qid, step, draw) indices, so they select identical edges.
+which read either layout. Both forms finish the walker's step key
+(:func:`repro.core.rng.key`, hashed by the engine) with the same draw
+indices, so they select identical edges. No sampler sees a seed, query id
+or step: the engines own that layout.
 
 :data:`SAMPLERS` holds one record of those module functions per method:
 the engines, the trace replay, the Spark runner, Table 6 and Algorithm 3
@@ -37,14 +39,17 @@ class Sampler:
     * ``init(w, counts)`` — the initialization phase over ragged segments
       of ``w``, returning tables in the layout ``tables`` uses; ``None``
       for the methods without one (NAIVE, O-REJ), which never Gather.
-    * ``generate_scalar(tab, s, d, row, seed, qid, step, probe, probed)``
-      and ``generate_batch(tab, starts, counts, rows, seed, qids, steps,
-      probe)`` — the local edge index per walker (-1: no move). A walker's
-      candidates are ``[s, s + d)`` of the per-edge arrays in ``tab``, and
-      its p* or total is at ``row`` of the per-segment ones.
-      ``probe(flat_idx, rows)`` is the engine's Weight UDF at CSR edges
-      (O-REJ on dynamic RW); ``probed`` collects the candidates the scalar form
-      probed (bucket for ALIAS, one per attempt for REJ/O-REJ).
+    * ``generate_scalar(tab, s, d, row, key, probe, probed)`` and
+      ``generate_batch(tab, starts, counts, rows, keys, probe)`` — the
+      local edge index per walker (-1: no move). A walker's candidates are
+      ``[s, s + d)`` of the per-edge arrays in ``tab``, and its p* or total
+      is at ``row`` of the per-segment ones. ``key``/``keys`` are the
+      walkers' step keys at their current length; every draw finishes one
+      (draw 0 for NAIVE/ITS, 0 and 1 for ALIAS, 2a and 2a+1 for
+      rejection attempt a). ``probe(flat_idx, rows)`` is the engine's
+      Weight UDF at CSR edges (O-REJ on dynamic RW), or None;
+      ``probed`` collects the candidates the scalar form probed (bucket
+      for ALIAS, one per attempt for REJ/O-REJ), or is None.
     """
 
     name: str

@@ -62,25 +62,25 @@ def init(w: np.ndarray, counts: np.ndarray) -> dict:
     return {"prob": prob, "a1": a1, "a2": a2}
 
 
-def generate_scalar(tab, s, d, row, seed, qid, step, probe=None, probed=None) -> int:
+def generate_scalar(tab, s, d, row, key, probe, probed) -> int:
     """O(1) generation: bucket draw + biased coin. The bucket is appended
     to ``probed`` when one is given."""
     a1 = tab["a1"]
     if d == 0 or a1[s] < 0:  # zero-mass segment: init left no alias entries
         return -1
-    x = rng.randint_scalar(seed, qid, step, 0, d)
+    x = rng.randint_scalar(key, 0, d)
     if probed is not None:
         probed.append(x)
-    y = rng.uniform_scalar(seed, qid, step, 1)
+    y = rng.uniform_scalar(key, 1)
     slot = s + x
     return int(a1[slot] if y < tab["prob"][slot] else tab["a2"][slot])
 
 
-def generate_batch(tab, starts, counts, rows, seed, qids, steps, probe=None) -> np.ndarray:
-    """Vectorized generation over a ring; both draws finish one step key."""
-    key = rng.key(seed, qids, steps)
-    x = rng.randint(seed, qids, steps, 0, counts, key=key)
-    y = rng.uniform(seed, qids, steps, 1, key=key)
+def generate_batch(tab, starts, counts, rows, keys, probe) -> np.ndarray:
+    """Vectorized generation over a ring: the bucket draw and the coin
+    finish each walker's step key."""
+    x = rng.randint(keys, 0, counts)
+    y = rng.uniform(keys, 1)
     slot = starts + x
     safe = np.where(counts > 0, slot, 0)
     local = np.where(y < tab["prob"][safe], tab["a1"][safe], tab["a2"][safe])

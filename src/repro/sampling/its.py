@@ -21,7 +21,7 @@ def init(w: np.ndarray, counts: np.ndarray) -> dict:
     return {"cum": cum, "totals": totals}
 
 
-def generate_scalar(tab, s, d, row, seed, qid, step, probe=None, probed=None) -> int:
+def generate_scalar(tab, s, d, row, key, probe, probed) -> int:
     """Pick the smallest i with x < cum[i] for x ~ U[0, total).
 
     Returns -1 when the distribution has zero total mass (dead walker —
@@ -31,16 +31,16 @@ def generate_scalar(tab, s, d, row, seed, qid, step, probe=None, probed=None) ->
     total = float(cum[-1]) if d else 0.0
     if total <= 0.0:
         return -1
-    x = rng.uniform_scalar(seed, qid, step, 0) * total
+    x = rng.uniform_scalar(key, 0) * total
     i = int(np.searchsorted(cum, x, side="right"))
     return min(i, d - 1)
 
 
-def generate_batch(tab, starts, counts, rows, seed, qids, steps, probe=None) -> np.ndarray:
+def generate_batch(tab, starts, counts, rows, keys, probe) -> np.ndarray:
     """Vectorized generation over a ring: one binary search per walker
     over its CDF segment. Returns local indices; -1 for zero-mass segments."""
     totals = tab["totals"][rows]
-    x = rng.uniform(seed, qids, steps, 0) * totals
+    x = rng.uniform(keys, 0) * totals
     idx = bisect_first_greater(tab["cum"], starts, starts + counts, x)
     local = np.minimum(idx - starts, np.maximum(counts - 1, 0)).astype(np.int64)
     return np.where((totals > 0) & (counts > 0), local, -1)

@@ -10,11 +10,11 @@ import numpy as np
 from repro.core import rng
 
 
-def generate_scalar(tab, s, d, row, seed, qid, step, probe=None, probed=None) -> int:
+def generate_scalar(tab, s, d, row, key, probe, probed) -> int:
     """Pick a uniform local edge index in [0, d) (-1 when d == 0)."""
-    return rng.randint_scalar(seed, qid, step, 0, d) if d else -1
+    return rng.randint_scalar(key, 0, d) if d else -1
 
 
-def generate_batch(tab, starts, counts, rows, seed, qids, steps, probe=None) -> np.ndarray:
+def generate_batch(tab, starts, counts, rows, keys, probe) -> np.ndarray:
     """Vectorized generation for a ring of walkers (-1 on an empty segment)."""
-    return np.where(counts > 0, rng.randint(seed, qids, steps, 0, counts), -1)
+    return np.where(counts > 0, rng.randint(keys, 0, counts), -1)

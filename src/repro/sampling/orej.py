@@ -9,11 +9,11 @@ returns that single transition weight.
 This module holds the one rejection attempt loop, in a scalar and a batch
 form: REJ (:mod:`repro.sampling.rej`) generates through it with its
 per-segment maxima as p* and a probe that reads its initialized weights.
-Attempt a uses draws (2a, 2a+1); a walker that misses
-``base.MAX_ATTEMPTS`` times (zero-mass or adversarial distributions) is
-treated as dead (-1). A probed weight above p* would silently clip that
-edge's probability, so both forms raise ``ValueError`` instead. Both use
-the same draws and cap, so engines stay bitwise-equal.
+Attempt a finishes the walker's step key with draws (2a, 2a+1); a
+walker that misses ``base.MAX_ATTEMPTS`` times (zero-mass or adversarial
+distributions) is treated as dead (-1). A probed weight above p* would
+silently clip that edge's probability, so both forms raise ``ValueError``
+instead. Both use the same draws and cap, so engines stay bitwise-equal.
 """
 from __future__ import annotations
 
@@ -50,23 +50,21 @@ def _bound_error(w, pstar) -> ValueError:
     )
 
 
-def generate_scalar(tab, s, d, row, seed, qid, step, probe=None, probed=None) -> int:
+def generate_scalar(tab, s, d, row, key, probe, probed) -> int:
     """Dart-throwing against ``tab["pstar"]``; probes one edge weight per
     attempt through ``tab["probe"]`` (static RW, REJ) or the engine's
-    ``probe`` (dynamic RW). The step key is hashed once, before the
-    attempts. Each attempt's candidate is appended to ``probed`` when one
-    is given."""
+    ``probe`` (dynamic RW). Each attempt's candidate is appended to
+    ``probed`` when one is given."""
     pstar = tab["pstar"]
     probe = tab.get("probe", probe)
     if d == 0 or pstar <= 0.0:
         return -1
-    key = rng.key(seed, qid, step)
     rows = np.zeros(1, dtype=np.int64)
     for a in range(MAX_ATTEMPTS):
-        x = rng.randint_scalar(seed, qid, step, 2 * a, d, key=key)
+        x = rng.randint_scalar(key, 2 * a, d)
         if probed is not None:
             probed.append(x)
-        y = rng.uniform_scalar(seed, qid, step, 2 * a + 1, key=key) * pstar
+        y = rng.uniform_scalar(key, 2 * a + 1) * pstar
         w = float(probe(np.array([s + x]), rows)[0])
         if w > pstar:
             raise _bound_error(w, pstar)
@@ -75,24 +73,20 @@ def generate_scalar(tab, s, d, row, seed, qid, step, probe=None, probed=None) ->
     return -1
 
 
-def generate_batch(tab, starts, counts, rows, seed, qids, steps, probe=None) -> np.ndarray:
+def generate_batch(tab, starts, counts, rows, keys, probe) -> np.ndarray:
     """Vectorized O-REJ over a ring; the probe is called once per attempt
-    wave. ``tab["pstar"]`` is the run's bound or one per walker (REJ).
-    Each walker's step key is hashed once per call; the waves only finish
-    it per draw (the key stands in for the qid and step counters)."""
+    wave. ``tab["pstar"]`` is the run's bound or one per walker (REJ)."""
     pstar = np.broadcast_to(tab["pstar"], counts.shape)
     probe = tab.get("probe", probe)
-    sel = np.full(len(qids), -1, dtype=np.int64)
+    sel = np.full(len(counts), -1, dtype=np.int64)
     active = (counts > 0) & (pstar > 0)
-    keys = rng.key(seed, qids, steps)
     for a in range(MAX_ATTEMPTS):
         if not active.any():
             break
         ids = np.flatnonzero(active)
-        key = keys[ids]
-        bound = pstar[ids]
-        x = rng.randint(seed, None, None, 2 * a, counts[ids], key=key)
-        y = rng.uniform(seed, None, None, 2 * a + 1, key=key) * bound
+        key, bound = keys[ids], pstar[ids]
+        x = rng.randint(key, 2 * a, counts[ids])
+        y = rng.uniform(key, 2 * a + 1) * bound
         w = probe(starts[ids] + x, ids)
         over = w > bound
         if over.any():

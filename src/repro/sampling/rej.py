@@ -33,15 +33,12 @@ def _loop_tab(tab: dict, pstar) -> dict:
     return {"pstar": pstar, "probe": lambda flat_idx, rows: w[flat_idx]}
 
 
-def generate_scalar(tab, s, d, row, seed, qid, step, probe=None, probed=None) -> int:
+def generate_scalar(tab, s, d, row, key, probe, probed) -> int:
     """O-REJ's scalar loop with the segment's maximum as the bound. Each
     attempt's candidate is appended to ``probed`` when one is given."""
-    return orej.generate_scalar(
-        _loop_tab(tab, float(tab["pmax"][row])), s, d, row, seed, qid, step, probed=probed
-    )
+    return orej.generate_scalar(_loop_tab(tab, float(tab["pmax"][row])), s, d, row, key, None, probed)
 
 
-def generate_batch(tab, starts, counts, rows, seed, qids, steps, probe=None) -> np.ndarray:
+def generate_batch(tab, starts, counts, rows, keys, probe) -> np.ndarray:
     """O-REJ's batch loop over a ring, each walker bounded by its segment's maximum."""
-    return orej.generate_batch(_loop_tab(tab, tab["pmax"][rows]), starts, counts, rows,
-                               seed, qids, steps)
+    return orej.generate_batch(_loop_tab(tab, tab["pmax"][rows]), starts, counts, rows, keys, None)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.algos import ALGOS, make_app
+from repro.core import rng
 from repro.core.model import WalkerType
 from repro.sampling import SAMPLERS
 
@@ -71,28 +72,30 @@ def test_table_kind():
 
 def test_stop_mask_target_length():
     app = make_app("deepwalk", length=5)
-    qids = np.arange(3)
-    assert list(app.stop_mask(0, qids, np.array([4, 5, 6]))) == [False, True, True]
+    qids, lengths = np.arange(3), np.array([4, 5, 6])
+    assert list(app.stop_mask(rng.key(0, qids, lengths), lengths)) == [False, True, True]
 
 
 def test_stop_mask_probability_deterministic():
     app = make_app("ppr", stop_prob=0.2)
-    a = app.stop_mask(7, np.arange(1000), np.ones(1000, dtype=np.int64))
-    b = app.stop_mask(7, np.arange(1000), np.ones(1000, dtype=np.int64))
+    keys = rng.key(7, np.arange(1000), 1)
+    a = app.stop_mask(keys, np.ones(1000, dtype=np.int64))
+    b = app.stop_mask(keys, np.ones(1000, dtype=np.int64))
     assert np.array_equal(a, b)
     assert 0.1 < a.mean() < 0.3  # ≈ stop_prob
 
 
 def test_stop_scalar_matches_mask():
     app = make_app("ppr", stop_prob=0.2)
-    mask = app.stop_mask(7, np.arange(200), np.full(200, 3))
+    keys = rng.key(7, np.arange(200), 3)
+    mask = app.stop_mask(keys, np.full(200, 3))
     for q in range(200):
-        assert app.stop_scalar(7, q, 3) == mask[q]
+        assert app.stop_scalar(rng.key(7, q, 3), 3) == mask[q]
 
 
 def test_stop_mask_caps_length():
     app = make_app("ppr", stop_prob=0.0001, max_len_cap=10)
-    assert app.stop_mask(0, np.array([0]), np.array([10]))[0]
+    assert app.stop_mask(rng.key(0, np.array([0]), 10), np.array([10]))[0]
 
 
 @pytest.mark.parametrize("algo", ALGOS)

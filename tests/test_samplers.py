@@ -3,6 +3,7 @@ properties, scalar == batch, distributions."""
 import numpy as np
 import pytest
 
+from repro.core import rng
 from repro.sampling import METHODS, SAMPLERS, alias, its, naive, orej, rej
 from repro.sampling.base import MAX_ATTEMPTS
 
@@ -33,7 +34,7 @@ def _init_one(module, w):
 
 def _draws(module, tab, d, n):
     """Scalar generation for queries 0..n-1 over the segment [0, d) at row 0."""
-    return np.array([module.generate_scalar(tab, 0, d, 0, SEED, q, 0) for q in range(n)])
+    return np.array([module.generate_scalar(tab, 0, d, 0, rng.key(SEED, q, 0), None, None) for q in range(n)])
 
 
 # ---------------------------------------------------------------- ALIAS ----
@@ -58,7 +59,7 @@ def test_alias_tables_valid(case):
 def test_alias_empty():
     tab = _init_one(alias, np.zeros(0))
     assert len(tab["prob"]) == 0
-    assert alias.generate_scalar(tab, 0, 0, 0, SEED, 0, 0) == -1
+    assert alias.generate_scalar(tab, 0, 0, 0, rng.key(SEED, 0, 0), None, None) == -1
 
 
 @pytest.mark.parametrize("case", ["uniform", "ramp", "skewed"])
@@ -78,7 +79,7 @@ def test_its_distribution(case):
 
 
 def test_its_zero_mass_returns_dead():
-    assert its.generate_scalar(_init_one(its, np.zeros(3)), 0, 3, 0, SEED, 0, 0) == -1
+    assert its.generate_scalar(_init_one(its, np.zeros(3)), 0, 3, 0, rng.key(SEED, 0, 0), None, None) == -1
 
 
 def test_its_never_picks_zero_weight():
@@ -96,8 +97,8 @@ def test_rej_distribution(case):
 
 
 def test_rej_zero_mass_dead():
-    assert rej.generate_scalar(_init_one(rej, np.zeros(3)), 0, 3, 0, SEED, 0, 0) == -1
-    assert rej.generate_scalar(_init_one(rej, np.zeros(0)), 0, 0, 0, SEED, 0, 0) == -1
+    assert rej.generate_scalar(_init_one(rej, np.zeros(3)), 0, 3, 0, rng.key(SEED, 0, 0), None, None) == -1
+    assert rej.generate_scalar(_init_one(rej, np.zeros(0)), 0, 0, 0, rng.key(SEED, 0, 0), None, None) == -1
 
 
 def test_rej_never_picks_zero_weight():
@@ -117,12 +118,12 @@ def test_orej_distribution_any_valid_bound(pstar_slack):
 
 
 def test_orej_dead_on_zero_pstar():
-    assert orej.generate_scalar({"pstar": 0.0}, 0, 5, 0, SEED, 0, 0, lambda i, r: i) == -1
+    assert orej.generate_scalar({"pstar": 0.0}, 0, 5, 0, rng.key(SEED, 0, 0), lambda i, r: i, None) == -1
 
 
 def test_orej_exhausts_attempts_on_zero_mass():
     probe = lambda idx, rows: np.zeros(len(idx))
-    assert orej.generate_scalar({"pstar": 1.0}, 0, 4, 0, SEED, 0, 0, probe) == -1
+    assert orej.generate_scalar({"pstar": 1.0}, 0, 4, 0, rng.key(SEED, 0, 0), probe, None) == -1
 
 
 # ---------------------------------------------------------------- NAIVE ----
@@ -136,9 +137,9 @@ def test_naive_batch_matches_scalar():
     deg = np.array([3, 7, 1, 12] * 10)
     qids = np.arange(40)
     steps = np.full(40, 2)
-    batch = naive.generate_batch({}, np.zeros(40, dtype=np.int64), deg, qids, SEED, qids, steps)
+    batch = naive.generate_batch({}, np.zeros(40, dtype=np.int64), deg, qids, rng.key(SEED, qids, steps), None)
     for i in range(40):
-        assert batch[i] == naive.generate_scalar({}, 0, int(deg[i]), i, SEED, i, 2)
+        assert batch[i] == naive.generate_scalar({}, 0, int(deg[i]), i, rng.key(SEED, i, 2), None, None)
 
 
 # --------------------------------------------- scalar == batch (all) -------
@@ -170,8 +171,8 @@ def test_batch_matches_scalar(method, step):
     else:
         tab = {}
     qids = np.arange(len(ws))
-    got = rec.generate_batch(tab, starts, counts, qids, SEED, qids, np.full(len(ws), step))
-    want = [rec.generate_scalar(tab, int(starts[i]), int(counts[i]), i, SEED, i, step)
+    got = rec.generate_batch(tab, starts, counts, qids, rng.key(SEED, qids, step), None)
+    want = [rec.generate_scalar(tab, int(starts[i]), int(counts[i]), i, rng.key(SEED, i, step), None, None)
             for i in range(len(ws))]
     assert got.tolist() == want
     assert (got[:-2] >= 0).all()
@@ -195,16 +196,16 @@ def test_rej_equals_orej_with_table_probe(step):
     probe = lambda idx, rows: flat[idx]
     qids = np.arange(len(ws))
     steps = np.full(len(ws), step)
-    got = rej.generate_batch(rtab, starts, counts, qids, SEED, qids, steps)
+    got = rej.generate_batch(rtab, starts, counts, qids, rng.key(SEED, qids, steps), None)
     want = orej.generate_batch({"pstar": rtab["pmax"], "probe": probe}, starts, counts, qids,
-                               SEED, qids, steps)
+                               rng.key(SEED, qids, steps), None)
     assert np.array_equal(got, want)
     for i in range(len(ws)):
         s, d = int(starts[i]), int(counts[i])
         rej_probed, orej_probed = [], []
-        x = rej.generate_scalar(rtab, s, d, i, SEED, i, step, probed=rej_probed)
+        x = rej.generate_scalar(rtab, s, d, i, rng.key(SEED, i, step), None, rej_probed)
         y = orej.generate_scalar({"pstar": float(rtab["pmax"][i]), "probe": probe},
-                                 s, d, i, SEED, i, step, probed=orej_probed)
+                                 s, d, i, rng.key(SEED, i, step), None, orej_probed)
         assert x == y == got[i]
         assert rej_probed == orej_probed
     assert got[-3] == got[-2] == got[-1] == -1
@@ -216,6 +217,5 @@ def test_batch_draws_differ_across_walkers():
     """Walkers in one batch must not share random draws."""
     tab = _init_one(its, np.ones(50))
     got = its.generate_batch(tab, np.zeros(30, dtype=np.int64), np.full(30, 50),
-                             np.zeros(30, dtype=np.int64), SEED, np.arange(30),
-                             np.zeros(30, dtype=np.int64))
+                             np.zeros(30, dtype=np.int64), rng.key(SEED, np.arange(30), 0), None)
     assert len(np.unique(got)) > 10

@@ -89,8 +89,3 @@ def test_spark_meta_records_ring_size(system, ring, spark, small_graph, sources_
     _, meta = run_system_spark(spark, system, small_graph, app, sources_small[:20], seed=SEED)
     assert meta["ring_size"] == ring
 
-
-def test_override_kwargs(small_graph, sources_small):
-    app = make_app("deepwalk", length=5)
-    out = run_system("TRW", small_graph, app, sources_small, seed=SEED, ring_size=4)
-    assert out.meta["ring_size"] == 4
