@@ -128,6 +128,57 @@ def test_pinned_edge_grid():
     assert hashlib.sha256(x.astype(np.int64).tobytes()).hexdigest() == _GRID_RANDINT
 
 
+_MASK = 2**64 - 1
+
+
+def _ref_mix(x):
+    z = (x + int(rng._GOLDEN)) & _MASK
+    z ^= z >> 30
+    z = (z * int(rng._M1)) & _MASK
+    z ^= z >> 27
+    z = (z * int(rng._M2)) & _MASK
+    return z ^ (z >> 31)
+
+
+def _ref_uniform(seed, qid, step, draw):
+    """The unkeyed four-counter hash in Python integers, independent of
+    NumPy's uint64 wraparound: ``mix(mix(mix(s ^ q) + t) + d)``."""
+    q = (qid * int(rng._K_QID)) & _MASK
+    t = (step * int(rng._K_STEP)) & _MASK
+    d = (draw * int(rng._K_DRAW)) & _MASK
+    h = _ref_mix((_ref_mix((_ref_mix(seed ^ q) + t) & _MASK) + d) & _MASK)
+    return (h >> 11) * rng._INV_2_53
+
+
+def _ref_randint(seed, qid, step, draw, bound):
+    return min(int(_ref_uniform(seed, qid, step, draw) * bound), max(bound - 1, 0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 3, 2**63, 2**64 - 1])
+def test_keyed_draws_equal_unkeyed_vector(seed):
+    """Vector form over random and edge-case qid/step lanes, with the key
+    indexed per lane (as the ring's attempt waves do) and broadcast: every
+    keyed draw equals the unkeyed hash of all four counters."""
+    r = np.random.default_rng(seed % 1000)
+    qids = np.concatenate([np.array(_EDGES, dtype=np.uint64), r.integers(0, 2**64, 300, dtype=np.uint64)])
+    steps = np.concatenate([np.array(_EDGES[::-1], dtype=np.uint64), r.integers(0, 2**64, 300, dtype=np.uint64)])
+    bounds = r.integers(1, 5000, len(qids))
+    keys = rng.key(seed, qids, steps)
+    assert keys.dtype == np.uint64 and keys.shape == qids.shape
+    lanes = list(zip((int(q) for q in qids), (int(t) for t in steps)))
+    ids = r.permutation(len(qids))[:150]
+    for d in [0, 1, 2, 1023] + _WRAP_DRAWS:
+        assert rng.uniform(keys, d).tolist() == [_ref_uniform(seed, q, t, d) for q, t in lanes]
+        assert rng.randint(keys[ids], d, bounds[ids]).tolist() == [
+            _ref_randint(seed, *lanes[i], d, int(bounds[i])) for i in ids
+        ]
+    draws = np.array(_WRAP_DRAWS, dtype=np.uint64)[:, None]
+    assert rng.uniform(keys, draws).tolist() == [
+        [_ref_uniform(seed, q, t, d) for q, t in lanes] for d in _WRAP_DRAWS
+    ]
+
+
 @pytest.mark.filterwarnings("error")
 def test_key_of_0d_inputs():
     for seed, qid, step in [(0, 0, 0), (2**64 - 1, 2**63, 2**64 - 1)]:
