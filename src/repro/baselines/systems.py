@@ -35,16 +35,19 @@ class SystemSpec:
     name: str
     engine: str  # repro.core.engine name
     parallel: bool
-    samplers: dict = field(default_factory=dict)  # algo -> sampler
-    supports: tuple = ("ppr", "deepwalk", "node2vec", "metapath")
+    samplers: dict  # algo -> sampler, one entry per supported algorithm
     engine_kwargs: dict = field(default_factory=dict)
+
+    @property
+    def supports(self) -> tuple:
+        """The algorithms this system runs: those it has a sampler for."""
+        return tuple(self.samplers)
 
     def app_for(self, app: RandomWalkApp) -> RandomWalkApp:
         """``app`` with this system's sampler; raises for an unsupported algorithm."""
-        if app.name not in self.supports:
+        if app.name not in self.samplers:
             raise ValueError(f"{self.name} does not support {app.name} (§6.1)")
-        sampler = self.samplers.get(app.name)
-        return app.with_sampler(sampler) if sampler else app
+        return app.with_sampler(self.samplers[app.name])
 
 
 SYSTEMS: dict[str, SystemSpec] = {
@@ -58,12 +61,11 @@ SYSTEMS: dict[str, SystemSpec] = {
     ),
     "GW": SystemSpec(
         name="GW", engine="asp", parallel=True,
-        samplers={"ppr": "naive"}, supports=("ppr",),
+        samplers={"ppr": "naive"},
     ),
     "KK": SystemSpec(
         name="KK", engine="bsp", parallel=True,
         samplers={"ppr": "orej", "deepwalk": "orej", "node2vec": "orej"},
-        supports=("ppr", "deepwalk", "node2vec"),
     ),
     "TRW": SystemSpec(
         name="TRW", engine="interleaved", parallel=True,

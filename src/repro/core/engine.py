@@ -17,10 +17,11 @@ strategy — which is the paper's entire subject:
   runs while it stays inside the loaded partition, the scheduler loads the
   partition with the most parked queries (swap count reported).
 
-Every engine owns the same counter layout: a walker's step key
-``rng.key(seed, qid, length)`` is hashed once when it reaches a length —
-at its source, then after each move — and finished by two draws, that
-length's Update coin (``model.TERM_DRAW``) and the Move from it.
+Every engine walks one lifecycle, written once per state layout (the
+scalar stepper's ``Walker``, the ring's record of arrays). A walker's step
+key ``rng.key(seed, qid, length)`` is hashed at its source and after each
+move that leaves it below ``app.max_length``, and finished by two draws:
+that length's Update coin (``model.TERM_DRAW``) and the Move from it.
 
 The per-step timing hooks (``timers``) feed Table 2's compute-p(e)/Init/
 Gen breakdown.
@@ -63,15 +64,17 @@ def _make_scalar_stepper(csr: CSRGraph, app: RandomWalkApp, seed: int, timers: d
     walker per query at its source, their keys hashed in one call;
     ``step(w, probed=None)`` runs one Gather–Move–Update on walker ``w``
     and returns the edge slot it moved along (-1: no move).
-    A move advances ``w`` and hashes its key at the new length, which
-    Update's coin and the next Move finish; no move or Update's stop
-    clears ``w.live``. ``probed`` collects the sampler's probed candidates
-    (see :class:`repro.sampling.Sampler`)."""
+    A move advances ``w`` and appends the new vertex to ``w.path``; below
+    ``app.max_length`` it then hashes the key at the new length, which
+    Update's coin and the next Move finish. No move, the length limit or
+    the coin clears ``w.live``. ``probed`` collects the sampler's probed
+    candidates (see :class:`repro.sampling.Sampler`)."""
     indptr, dst = csr.indptr, csr.dst
     sampler = sampler_for(app)
     run_tab = sampler.tables(csr, app)
     gather = gathers(app)
     dynamic = app.walker_type is WalkerType.DYNAMIC
+    max_len = app.max_length
     clock = time.perf_counter if timers is not None else None
 
     def walkers(qids: np.ndarray, sources: np.ndarray) -> list[Walker]:
@@ -113,34 +116,42 @@ def _make_scalar_stepper(csr: CSRGraph, app: RandomWalkApp, seed: int, timers: d
         if x < 0:
             w.live = False
             return -1
-        # Update: advance, hash the new length's key, flip its coin.
+        # Update: advance; below the length limit, hash the new length's key
+        # and flip its coin.
         w.prev, w.cur, w.length = w.cur, int(dst[s + x]), w.length + 1
-        w.key = rng.key(seed, w.qid, w.length)
-        w.live = not app.stop_scalar(w.key, w.length)
+        w.path.append(w.cur)
+        w.live = w.length < max_len
+        if w.live:
+            w.key = rng.key(seed, w.qid, w.length)
+            w.live = not app.stop_scalar(w.key)
         return s + x
 
     return walkers, step
+
+
+def _walks(walkers: list[Walker], timers: dict | None, meta: dict | None) -> WalkOutput:
+    """The scalar engines' output: each walker's path as rows."""
+    out = _OutBuffer()
+    for w in walkers:
+        out.add(np.full(len(w.path), w.qid), np.arange(len(w.path)), w.path)
+    return out.finish(timers=timers, meta=meta)
 
 
 def run_sequential(
     csr: CSRGraph,
     app: RandomWalkApp,
     sources: np.ndarray,
-    qids: np.ndarray | None = None,
-    seed: int = 0,
+    qids: np.ndarray,
+    seed: int,
     timers: dict | None = None,
 ) -> WalkOutput:
     """Algorithm 2: evaluate queries one by one, scalar steps (wo/si)."""
-    sources = np.asarray(sources, dtype=np.int64)
-    qids = np.arange(len(sources), dtype=np.int64) if qids is None else np.asarray(qids)
     walkers, step = _make_scalar_stepper(csr, app, seed, timers)
-    out = _OutBuffer()
-    for w in walkers(qids, sources):
-        path = [w.cur]
-        while w.live and step(w) >= 0:
-            path.append(w.cur)
-        out.add(np.full(len(path), w.qid), np.arange(len(path)), np.array(path))
-    return out.finish(timers=timers)
+    ws = walkers(qids, sources)
+    for w in ws:
+        while w.live:
+            step(w)
+    return _walks(ws, timers=timers, meta=None)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +162,8 @@ def run_interleaved(
     csr: CSRGraph,
     app: RandomWalkApp,
     sources: np.ndarray,
-    qids: np.ndarray | None = None,
-    seed: int = 0,
+    qids: np.ndarray,
+    seed: int,
     ring_size: int = 64,
     timers: dict | None = None,
 ) -> WalkOutput:
@@ -160,40 +171,39 @@ def run_interleaved(
 
     Each loop iteration moves every walker in the ring by one step with
     vectorized Gather/Move/Update; completed walkers are replaced from the
-    pending queue, so the ring stays full (no BSP tail problem).
+    pending queue, so the ring stays full (no BSP tail problem). The ring
+    is one record of arrays, refilled from ``fresh``: each query at its source.
     """
-    sources = np.asarray(sources, dtype=np.int64)
     n = len(sources)
-    qids = np.arange(n, dtype=np.int64) if qids is None else np.asarray(qids, dtype=np.int64)
     out = _OutBuffer()
     out.add(qids, np.zeros(n, dtype=np.int32), sources)  # step-0 rows
     if n == 0:
         return out.finish(timers=timers)
 
-    indptr, dst_arr = csr.indptr, csr.dst
+    indptr, dst = csr.indptr, csr.dst
     sampler = sampler_for(app)
     run_tab = sampler.tables(csr, app)
     gather = gathers(app)
+    max_len = app.max_length
     clock = time.perf_counter if timers is not None else None
 
     k = max(1, int(ring_size))
-    fill = min(k, n)
-    r_qid = qids[:fill].copy()
-    r_cur = sources[:fill].copy()
-    r_prev = np.full(fill, -1, dtype=np.int64)
-    r_len = np.zeros(fill, dtype=np.int64)
-    keys0 = rng.key(seed, qids, 0)  # each walker's key at its source
-    r_key = keys0[:fill]
-    submitted = fill
+    fresh = {
+        "qid": qids, "cur": sources, "prev": np.full(n, -1, dtype=np.int64),
+        "len": np.zeros(n, dtype=np.int64), "key": rng.key(seed, qids, 0),
+    }
+    # Copies: Update writes in place, and a slice is a view of ``fresh``.
+    r = {f: a[:k].copy() for f, a in fresh.items()}
+    submitted = len(r["qid"])
     iters = 0
 
     def probe(flat_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The Weight UDF at CSR edges for the walkers in ring ``rows``."""
-        return app.weight_fn(csr, flat_idx, r_prev[rows], r_len[rows])
+        return app.weight_fn(csr, flat_idx, r["prev"][rows], r["len"][rows])
 
-    while len(r_qid) > 0:
+    while len(r["qid"]) > 0:
         iters += 1
-        vs = r_cur
+        vs = r["cur"]
         starts = indptr[vs]
         counts = (indptr[vs + 1] - starts).astype(np.int64)
         # -- Move over the run's tables (Algorithm 3 cache, O-REJ bound) or,
@@ -203,50 +213,34 @@ def run_interleaved(
         if gather:
             # -- Gather: flatten ragged segments, apply the Weight UDF. --
             flat_idx, seg_ids, _, _ = flatten_segments(indptr, vs)
-            w = app.weight_fn(csr, flat_idx, r_prev[seg_ids], r_len[seg_ids])
+            w = app.weight_fn(csr, flat_idx, r["prev"][seg_ids], r["len"][seg_ids])
             if clock:
                 t0 = _tick(timers, "weight", t0)
             tab, seg_starts, rows = sampler.init(w, counts), np.cumsum(counts) - counts, slice(None)
             if clock:
                 t0 = _tick(timers, "init", t0)
-        local = sampler.generate_batch(tab, seg_starts, counts, rows, r_key, probe)
+        local = sampler.generate_batch(tab, seg_starts, counts, rows, r["key"], probe)
         if clock:
             _tick(timers, "gen", t0)
 
+        # -- Update: record moves; below the length limit, hash each moved
+        # walker's key at its new length and flip its coin; refill the ring. --
         moved = local >= 0
-        # Clamp unmoved walkers' index to 0: a sink's `starts` can equal
-        # |E| and must never be dereferenced.
-        safe_idx = np.where(moved, starts + local, 0)
-        nxt = np.where(moved, dst_arr[safe_idx], -1)
+        nxt = dst[starts[moved] + local[moved]]
+        new_len = r["len"] + 1
+        out.add(r["qid"][moved], new_len[moved].astype(np.int32), nxt)
+        live = moved & (new_len < max_len)
+        keys = rng.key(seed, r["qid"][live], new_len[live])
+        r["key"][live] = keys
+        live[live] = ~app.stop_mask(keys)
+        r["prev"] = np.where(moved, vs, r["prev"])
+        r["cur"][moved] = nxt
+        r["len"] = new_len
 
-        # -- Update: record moves, hash each walker's key at its new length,
-        # apply termination, refill the ring. --
-        new_len = r_len + 1
-        if moved.any():
-            out.add(r_qid[moved], new_len[moved].astype(np.int32), nxt[moved])
-        r_key = rng.key(seed, r_qid, new_len)
-        stop = ~moved
-        stop[moved] |= app.stop_mask(r_key[moved], new_len[moved])
-        r_prev = np.where(moved, r_cur, r_prev)
-        r_cur = np.where(moved, nxt, r_cur)
-        r_len = new_len
-
-        if stop.any():
-            keep = ~stop
-            n_free = int(stop.sum())
-            n_new = min(n_free, n - submitted)
-            if n_new > 0:
-                new = slice(submitted, submitted + n_new)
-                submitted += n_new
-                r_qid = np.concatenate([r_qid[keep], qids[new]])
-                r_cur = np.concatenate([r_cur[keep], sources[new]])
-                r_prev = np.concatenate([r_prev[keep], np.full(n_new, -1, dtype=np.int64)])
-                r_len = np.concatenate([r_len[keep], np.zeros(n_new, dtype=np.int64)])
-                r_key = np.concatenate([r_key[keep], keys0[new]])
-            else:
-                r_qid, r_cur, r_prev, r_len, r_key = (
-                    r_qid[keep], r_cur[keep], r_prev[keep], r_len[keep], r_key[keep],
-                )
+        if not live.all():
+            new = slice(submitted, min(n, submitted + int((~live).sum())))
+            submitted = new.stop
+            r = {f: np.concatenate([a[live], fresh[f][new]]) for f, a in r.items()}
     return out.finish(timers=timers, meta={"ring_iterations": iters, "ring_size": k})
 
 
@@ -258,35 +252,29 @@ def run_bsp(
     csr: CSRGraph,
     app: RandomWalkApp,
     sources: np.ndarray,
-    qids: np.ndarray | None = None,
-    seed: int = 0,
+    qids: np.ndarray,
+    seed: int,
 ) -> WalkOutput:
     """KnightKing's BSP model: every superstep moves all active queries one
     step; queries are scalar task units. Exhibits the tail problem — late
     supersteps carry few active queries but full sweep bookkeeping."""
-    sources = np.asarray(sources, dtype=np.int64)
-    n = len(sources)
-    qids = np.arange(n, dtype=np.int64) if qids is None else np.asarray(qids, dtype=np.int64)
     walkers, step = _make_scalar_stepper(csr, app, seed)
-    active = walkers(qids, sources)
-    out = _OutBuffer()
-    out.add(qids, np.zeros(n, dtype=np.int32), sources)
+    ws = active = walkers(qids, sources)
     supersteps = 0
     while active:
         supersteps += 1
         for w in active:
-            if step(w) >= 0:
-                out.add([w.qid], [w.length], [w.cur])
+            step(w)
         active = [w for w in active if w.live]
-    return out.finish(meta={"supersteps": supersteps})
+    return _walks(ws, timers=None, meta={"supersteps": supersteps})
 
 
 def run_asp(
     csr: CSRGraph,
     app: RandomWalkApp,
     sources: np.ndarray,
-    qids: np.ndarray | None = None,
-    seed: int = 0,
+    qids: np.ndarray,
+    seed: int,
 ) -> WalkOutput:
     """GraphWalker's ASP model (in-memory configuration, unbiased only).
 
@@ -297,9 +285,6 @@ def run_asp(
     """
     if app.walker_type is not WalkerType.UNBIASED:
         raise ValueError("GraphWalker supports unbiased RW only (§2.4)")
-    sources = np.asarray(sources, dtype=np.int64)
-    n = len(sources)
-    qids = np.arange(n, dtype=np.int64) if qids is None else np.asarray(qids, dtype=np.int64)
     walkers, step = _make_scalar_stepper(csr, app, seed)
     nv = csr.num_vertices
     P = max(1, min(N_GRAPH_PARTITIONS, nv))
@@ -307,25 +292,24 @@ def run_asp(
     def part_of(v: int) -> int:
         return min(P - 1, v * P // nv)
 
+    ws = walkers(qids, sources)
     queues: list[list[Walker]] = [[] for _ in range(P)]
-    for w in walkers(qids, sources):
+    for w in ws:
         queues[part_of(w.cur)].append(w)
-    out = _OutBuffer()
-    out.add(qids, np.zeros(n, dtype=np.int32), sources)
     swaps = 0
-    remaining = n
+    remaining = len(ws)
     while remaining > 0:
         p = max(range(P), key=lambda i: len(queues[i]))
         batch, queues[p] = queues[p], []
         swaps += 1
         for w in batch:
-            while w.live and part_of(w.cur) == p and step(w) >= 0:
-                out.add([w.qid], [w.length], [w.cur])
+            while w.live and part_of(w.cur) == p:
+                step(w)
             if w.live:
                 queues[part_of(w.cur)].append(w)
             else:
                 remaining -= 1
-    return out.finish(meta={"partition_loads": swaps, "n_partitions": P})
+    return _walks(ws, timers=None, meta={"partition_loads": swaps, "n_partitions": P})
 
 
 _RUNNERS = {
@@ -346,7 +330,10 @@ def run_walks(
     qids: np.ndarray | None = None,
     **kw,
 ) -> WalkOutput:
-    """Dispatch by engine name (see module docstring)."""
+    """Dispatch by engine name (see module docstring). ``qids`` default to
+    the queries' positions in ``sources``."""
     if engine not in _RUNNERS:
         raise ValueError(f"unknown engine {engine!r}; pick one of {ENGINES}")
-    return _RUNNERS[engine](csr, app, sources, qids=qids, seed=seed, **kw)
+    sources = np.asarray(sources, dtype=np.int64)
+    qids = np.arange(len(sources), dtype=np.int64) if qids is None else np.asarray(qids, dtype=np.int64)
+    return _RUNNERS[engine](csr, app, sources, qids, seed, **kw)

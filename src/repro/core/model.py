@@ -3,8 +3,9 @@
 A random-walk application is declared the way ThunderRW's API does it
 (§4.2, Listing 1): a walker type, a sampling method, a ``Weight`` function
 giving each adjacent edge's relative transition chance, an ``Update``
-termination rule (here declarative: target length and/or stop
-probability), and an optional ``MaxWeight`` bound for O-REJ.
+termination rule (here declarative: a length limit, ``max_length``, and
+an optional stop probability), and an optional ``MaxWeight`` bound for
+O-REJ.
 
 ``weight_fn`` is the vectorized UDF: it receives per-*candidate* arrays
 (flat CSR edge indices, the owning walker's previous vertex and current
@@ -50,7 +51,7 @@ class RandomWalkApp:
     # (csr, flat_edge_idx, prev_per_candidate, length_per_candidate) -> weights
     weight_fn: Callable[[CSRGraph, np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
     max_weight: float | None = None  # O-REJ p* (MaxWeight UDF)
-    max_len_cap: int = 1000  # safety cap for stop-probability walks
+    max_len_cap: int = 1000  # length limit of walks without a target length
     params: dict = field(default_factory=dict)
 
     def table_kind(self) -> str:
@@ -67,21 +68,22 @@ class RandomWalkApp:
 
         return replace(self, sampler=sampler)
 
-    def stop_mask(self, keys: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Vectorized Update: should each walker terminate at its new length?
-        ``keys`` are the walkers' step keys at those lengths (``rng.key``)."""
-        stop = np.zeros(len(lengths), dtype=bool)
-        if self.target_length is not None:
-            stop |= lengths >= self.target_length
-        if self.stop_prob is not None:
-            stop |= rng.uniform(keys, TERM_DRAW) < self.stop_prob
-            stop |= lengths >= self.max_len_cap
-        return stop
+    @property
+    def max_length(self) -> int:
+        """Update's length rule: a walker that reaches this length stops
+        (``target_length``, else the ``max_len_cap`` safety cap). The
+        engines test it before they hash the walker's key at that length,
+        so only walkers below it draw the stop coin."""
+        return self.target_length if self.target_length is not None else self.max_len_cap
 
-    def stop_scalar(self, key, length: int) -> bool:
-        """Scalar Update — same coin as the vectorized form."""
-        stop = self.target_length is not None and length >= self.target_length
-        if self.stop_prob is not None:
-            coin = rng.uniform_scalar(key, TERM_DRAW) < self.stop_prob
-            stop = stop or coin or length >= self.max_len_cap
-        return stop
+    def stop_mask(self, keys: np.ndarray) -> np.ndarray:
+        """Vectorized Update coin: does each walker below ``max_length``
+        stop at its new length? ``keys`` are the walkers' step keys at
+        those lengths (``rng.key``)."""
+        if self.stop_prob is None:
+            return np.zeros(len(keys), dtype=bool)
+        return rng.uniform(keys, TERM_DRAW) < self.stop_prob
+
+    def stop_scalar(self, key) -> bool:
+        """Scalar Update coin — same draw as the vectorized form."""
+        return self.stop_prob is not None and rng.uniform_scalar(key, TERM_DRAW) < self.stop_prob

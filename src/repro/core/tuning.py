@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algos import deepwalk
-from repro.core.engine import MAX_RING_SIZE, run_interleaved
+from repro.core.engine import MAX_RING_SIZE, run_walks
 from repro.graph.csr import CSRGraph
 
 
@@ -34,7 +34,7 @@ class TuningResult:
 def _walk_time(csr: CSRGraph, sampler: str, sources: np.ndarray, k: int, length: int) -> float:
     app = deepwalk.make_app(length=length, weighted=(sampler != "naive")).with_sampler(sampler)
     t0 = time.perf_counter()
-    run_interleaved(csr, app, sources, seed=1, ring_size=k)
+    run_walks(csr, app, sources, engine="interleaved", seed=1, ring_size=k)
     return time.perf_counter() - t0
 
 

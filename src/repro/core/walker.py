@@ -1,11 +1,11 @@
 """Walker state and walk output containers (paper Appendix B).
 
 Walkers carry an ID, current/previous vertex, length and the step key of
-that length (``rng.key``); the scalar engines keep one :class:`Walker` per
-query, the ring engine keeps them in structure-of-arrays form. Output is
-the long-format walk table ``(query_id, step, vertex)`` — the
-DataFrame-friendly shape the Spark runner emits, with step 0 being the
-source vertex.
+that length (``rng.key``). The scalar engines keep one :class:`Walker` per
+query, which also records its path; the ring engine keeps its walkers as
+one record of arrays. Output is the long-format walk table
+``(query_id, step, vertex)`` — the DataFrame-friendly shape the Spark
+runner emits, with step 0 being the source vertex.
 """
 from __future__ import annotations
 
@@ -54,13 +54,14 @@ class WalkOutput:
 
 class Walker:
     """One query's walker in the scalar engines: Algorithm 2's state, its
-    step key at ``length`` and whether Update lets it move again."""
+    step key at ``length``, whether Update lets it move again and the
+    vertices it has visited (``path[0]`` is the source)."""
 
-    __slots__ = ("qid", "cur", "prev", "length", "key", "live")
+    __slots__ = ("qid", "cur", "prev", "length", "key", "live", "path")
 
     def __init__(self, qid: int, source: int, key) -> None:
         self.qid, self.cur, self.prev, self.length = qid, source, -1, 0
-        self.key, self.live = key, True
+        self.key, self.live, self.path = key, True, [source]
 
 
 class _OutBuffer:

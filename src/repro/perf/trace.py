@@ -103,7 +103,6 @@ def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int =
     for w in walkers(np.arange(len(sources)), sources):
         qid = w.qid
         lane: list = []
-        path = [w.cur]
         while w.live:
             cur, prev = w.cur, w.prev
             s, e = int(indptr[cur]), int(indptr[cur + 1])
@@ -168,8 +167,7 @@ def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int =
                 lane.append((ins["S5"], None, False, False))
             else:
                 lane.append((ins["S3"], None, False, False))
-            path.append(w.cur)
-        yield lane, path
+        yield lane, w.path
 
 
 def build_rw_lanes(

@@ -22,10 +22,10 @@ def _vose(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Zero-weight elements are legal (their residual bucket mass is 0).
     """
     d = len(weights)
-    p = np.asarray(weights, dtype=np.float64) * (d / float(weights.sum()))
-    prob = np.ones(d)
-    a_first = np.arange(d, dtype=np.int64)
-    a_second = np.arange(d, dtype=np.int64)
+    # Python floats: the same doubles as NumPy's, without per-element overhead.
+    p = (np.asarray(weights, dtype=np.float64) * (d / float(weights.sum()))).tolist()
+    prob = [1.0] * d
+    a_second = list(range(d))
     small = [i for i in range(d) if p[i] < 1.0]
     large = [i for i in range(d) if p[i] >= 1.0]
     while small and large:
@@ -38,7 +38,7 @@ def _vose(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Residual buckets (float drift) keep prob == 1.
     for i in small:
         prob[i] = 1.0
-    return prob, a_first, a_second
+    return np.array(prob), np.arange(d, dtype=np.int64), np.array(a_second, dtype=np.int64)
 
 
 def init(w: np.ndarray, counts: np.ndarray) -> dict:
@@ -81,7 +81,8 @@ def generate_batch(tab, starts, counts, rows, keys, probe) -> np.ndarray:
     finish each walker's step key."""
     x = rng.randint(keys, 0, counts)
     y = rng.uniform(keys, 1)
-    slot = starts + x
-    safe = np.where(counts > 0, slot, 0)
-    local = np.where(y < tab["prob"][safe], tab["a1"][safe], tab["a2"][safe])
-    return np.where(counts > 0, local, -1).astype(np.int64)
+    local = np.full(len(counts), -1, dtype=np.int64)
+    ok = np.flatnonzero(counts > 0)  # an empty segment has no table slot
+    slot = starts[ok] + x[ok]
+    local[ok] = np.where(y[ok] < tab["prob"][slot], tab["a1"][slot], tab["a2"][slot])
+    return local

@@ -7,9 +7,9 @@ the CSR edge array. The engines then skip Gather at query time (§4.2).
 Tables are cached on ``csr.aux`` keyed by ``(method, kind)`` where kind is
 ``"unbiased"`` (uniform weights) or ``"static"`` (edge weights), so a
 benchmark that runs many engines on the same graph preprocesses once —
-mirroring the paper's separation of preprocessing vs execution time. Use
-``build(..., force=True)`` (or time ``build_tables``) to measure the
-preprocessing cost itself.
+mirroring the paper's separation of preprocessing vs execution time. Time
+``build`` right after ``csr.aux.clear()`` (or time ``build_tables``) to
+measure the preprocessing cost itself.
 """
 from __future__ import annotations
 
@@ -37,10 +37,10 @@ def build_tables(csr: CSRGraph, method: str, kind: str) -> dict:
     return {} if init is None else init(w, csr.degrees())
 
 
-def build(csr: CSRGraph, method: str, kind: str, force: bool = False) -> dict:
+def build(csr: CSRGraph, method: str, kind: str) -> dict:
     """Cached Algorithm 3 (see module docstring)."""
     key = (method, kind)
-    if force or key not in csr.aux:
+    if key not in csr.aux:
         csr.aux[key] = build_tables(csr, method, kind)
     return csr.aux[key]
 

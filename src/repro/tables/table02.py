@@ -13,7 +13,7 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.algos import make_app
-from repro.core.engine import run_sequential
+from repro.core.engine import run_walks
 from repro.tables import common
 
 PAPER = pd.DataFrame(
@@ -50,7 +50,7 @@ def compute(
     for name, app, nq in workloads:
         srcs = common.sources_for(g, nq, seed=7)
         timers: dict = {}
-        run_sequential(g, app, srcs, seed=seed, timers=timers)
+        run_walks(g, app, srcs, engine="sequential", seed=seed, timers=timers)
         w = timers.get("weight", 0.0)
         i = timers.get("init", 0.0)
         ge = timers.get("gen", 0.0)

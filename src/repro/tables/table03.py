@@ -16,7 +16,7 @@ import time
 import pandas as pd
 
 from repro.algos import deepwalk, node2vec
-from repro.core.engine import run_interleaved
+from repro.core.engine import run_walks
 from repro.graph import generators as gen
 from repro.sampling import SAMPLERS
 from repro.tables import common
@@ -38,7 +38,7 @@ _SAMPLERS = {kind: [m for m, rec in SAMPLERS.items() if kind == "unbiased" or no
 
 def _ns_per_step(csr, app, srcs, seed=3) -> float:
     t0 = time.perf_counter()
-    out = run_interleaved(csr, app, srcs, seed=seed, ring_size=256)
+    out = run_walks(csr, app, srcs, engine="interleaved", seed=seed, ring_size=256)
     dt = time.perf_counter() - t0
     return dt / max(1, out.total_steps) * 1e9
 

@@ -92,11 +92,12 @@ DEFAULT_QUERIES = {"ppr": 4096, "deepwalk": 2048, "node2vec": 512, "metapath": 2
 
 def _preprocess_time(csr, app) -> float:
     """Algorithm 3 cost for static/unbiased cells (part of the paper's
-    'total time'); dynamic and table-free samplers pay none."""
+    'total time'); dynamic and table-free samplers pay none. The caller
+    clears ``csr.aux`` first, so the tables are built, not looked up."""
     if not needs_tables(app):
         return 0.0
     t0 = time.perf_counter()
-    preprocess.build(csr, app.sampler, app.table_kind(), force=True)
+    preprocess.build(csr, app.sampler, app.table_kind())
     return time.perf_counter() - t0
 
 

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from repro.algos import make_app
-from repro.core.engine import MAX_RING_SIZE, run_walks
+from repro.core import engine as eng
+from repro.core.engine import ENGINES, MAX_RING_SIZE, run_walks
 from repro.graph import generators as gen
+from repro.graph.csr import from_arrays
 
 SEED = 21
 
@@ -264,3 +266,43 @@ def test_bsp_meta_supersteps(small_graph, sources_small):
     app = make_app("deepwalk", length=6)
     out = run_walks(small_graph, app, sources_small, engine="bsp", seed=SEED)
     assert out.meta["supersteps"] == 6  # all queries reach the target length
+
+
+@pytest.mark.parametrize("engine", ["sequential", "interleaved"])
+def test_no_key_hashed_at_target_length(engine, small_graph, sources_small, monkeypatch):
+    """Update tests the length limit before it hashes a key: a walker hashes
+    one key per length it reaches below the limit, and none at the limit."""
+    app = make_app("deepwalk", length=6)
+    ref = run_walks(small_graph, app, sources_small, engine=engine, seed=SEED)
+    hashed = []
+    real_key = eng.rng.key
+
+    def key(seed, qid, step):
+        hashed.append(np.broadcast_to(step, np.broadcast(qid, step).shape).ravel())
+        return real_key(seed, qid, step)
+
+    monkeypatch.setattr(eng.rng, "key", key)
+    out = run_walks(small_graph, app, sources_small, engine=engine, seed=SEED)
+    steps = np.concatenate(hashed)
+    assert steps.max() < 6
+    assert len(steps) == sum(min(len(p), 6) for p in ref.paths().values())
+    assert _paths_equal(out, ref)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_length_cap_stops_walks(engine, small_graph, sources_small):
+    """A walk without a target length stops at ``max_len_cap``."""
+    app = make_app("ppr", stop_prob=1e-4, max_len_cap=10)
+    out = run_walks(small_graph, app, sources_small, engine=engine, seed=SEED)
+    assert max(len(p) - 1 for p in out.paths().values()) == 10
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("algo", ["deepwalk", "ppr"])
+def test_edgeless_graph_walks_hold_only_sources(algo, engine):
+    g = from_arrays([], [], 3)
+    # GraphWalker runs unbiased RW only.
+    app = make_app(algo, length=5, weighted=engine != "asp")
+    out = run_walks(g, app, [0, 1, 2], engine=engine, seed=SEED)
+    assert {q: p.tolist() for q, p in out.paths().items()} == {0: [0], 1: [1], 2: [2]}
+    assert out.total_steps == 0

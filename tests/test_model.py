@@ -1,4 +1,6 @@
 """Step-centric model: app declarations and termination semantics."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,16 +73,20 @@ def test_table_kind():
 
 
 def test_stop_mask_target_length():
+    """The target length is Update's length rule; the coin alone never
+    stops a fixed-length walk."""
     app = make_app("deepwalk", length=5)
-    qids, lengths = np.arange(3), np.array([4, 5, 6])
-    assert list(app.stop_mask(rng.key(0, qids, lengths), lengths)) == [False, True, True]
+    assert app.max_length == 5
+    keys = rng.key(0, np.arange(3), np.array([2, 3, 4]))
+    assert not app.stop_mask(keys).any()
+    assert not app.stop_scalar(keys[0])
 
 
 def test_stop_mask_probability_deterministic():
     app = make_app("ppr", stop_prob=0.2)
     keys = rng.key(7, np.arange(1000), 1)
-    a = app.stop_mask(keys, np.ones(1000, dtype=np.int64))
-    b = app.stop_mask(keys, np.ones(1000, dtype=np.int64))
+    a = app.stop_mask(keys)
+    b = app.stop_mask(keys)
     assert np.array_equal(a, b)
     assert 0.1 < a.mean() < 0.3  # ≈ stop_prob
 
@@ -88,14 +94,16 @@ def test_stop_mask_probability_deterministic():
 def test_stop_scalar_matches_mask():
     app = make_app("ppr", stop_prob=0.2)
     keys = rng.key(7, np.arange(200), 3)
-    mask = app.stop_mask(keys, np.full(200, 3))
+    mask = app.stop_mask(keys)
     for q in range(200):
-        assert app.stop_scalar(rng.key(7, q, 3), 3) == mask[q]
+        assert app.stop_scalar(rng.key(7, q, 3)) == mask[q]
 
 
 def test_stop_mask_caps_length():
+    """A walk without a target length stops at ``max_len_cap``."""
     app = make_app("ppr", stop_prob=0.0001, max_len_cap=10)
-    assert app.stop_mask(rng.key(0, np.array([0]), 10), np.array([10]))[0]
+    assert app.max_length == 10
+    assert replace(make_app("deepwalk", length=7), max_len_cap=3).max_length == 7
 
 
 @pytest.mark.parametrize("algo", ALGOS)

@@ -1,4 +1,6 @@
 """Trace builders: lanes must reflect the real walks and workloads."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,17 +12,33 @@ from repro.graph import generators as gen
 SEED = 44
 
 
-@pytest.mark.parametrize("algo,sampler", [
-    ("ppr", "naive"), ("deepwalk", "alias"), ("deepwalk", "its"),
-    ("deepwalk", "rej"), ("deepwalk", "orej"),
-    ("node2vec", "alias"), ("metapath", "its"),
-])
+# sha256 of repr(lanes) for each case at SEED: the step-count test below
+# checks the replayed walks, these pin the stages and addresses themselves.
+LANE_SHA256 = {
+    ("ppr", "naive"): "9925e40810be6c9e34d63b965c60772d2017344f20baadfdf06c20c75d9f48f8",
+    ("deepwalk", "alias"): "bc531240226734d1c193162155453b1e858bbdc4f32b31264fd43cdae13bfd2a",
+    ("deepwalk", "its"): "943ffc35b5b210ce18641592b99a711f737fa4668bf92aaa0112291e599b0c63",
+    ("deepwalk", "rej"): "dbfc1ca0f91773a0b4892ae92a8d63f3e7ac22fdca048a307438d8768db4640b",
+    ("deepwalk", "orej"): "c816d739044ee66f4caa9225e142107667adf5c33e41b362c5d2cb04d56aca6c",
+    ("node2vec", "alias"): "bdbe7e7096b57c7ab316a61eb60568b110e37d8262fbfc74bc112129f1e4afb0",
+    ("metapath", "its"): "a591c5e8a315383aeb402903a47679bf3efd6afc7dfc3f5108550338da01550c",
+}
+
+
+@pytest.mark.parametrize("algo,sampler", list(LANE_SHA256))
 def test_lane_per_query_and_step_count(algo, sampler, small_graph, sources_small):
     app = make_app(algo, csr=small_graph, length=6).with_sampler(sampler)
     lanes, n_steps = trace.build_rw_lanes(small_graph, app, sources_small, seed=SEED)
     assert len(lanes) == len(sources_small)
     out = run_walks(small_graph, app, sources_small, engine="sequential", seed=SEED)
     assert n_steps == out.total_steps  # trace replays the exact walks
+
+
+@pytest.mark.parametrize("algo,sampler", list(LANE_SHA256))
+def test_lanes_match_pinned_digest(algo, sampler, small_graph, sources_small):
+    app = make_app(algo, csr=small_graph, length=6).with_sampler(sampler)
+    lanes, _ = trace.build_rw_lanes(small_graph, app, sources_small, seed=SEED)
+    assert hashlib.sha256(repr(lanes).encode()).hexdigest() == LANE_SHA256[(algo, sampler)]
 
 
 def test_stage_tuple_shape(small_graph, sources_small):
