@@ -21,10 +21,13 @@ Every engine walks one lifecycle, written once per state layout (the
 scalar stepper's ``Walker``, the ring's record of arrays). A walker's step
 key ``rng.key(seed, qid, length)`` is hashed at its source and after each
 move that leaves it below ``app.max_length``, and finished by two draws:
-that length's Update coin (``model.TERM_DRAW``) and the Move from it.
+that length's Update coin (``model.TERM_DRAW``) and the Move from it. The
+scalar stepper hashes and finishes keys in Python ints (``rng.key_scalar``
+and the ``*_scalar`` draws), bitwise equal to the ring's vector forms.
 
 The per-step timing hooks (``timers``) feed Table 2's compute-p(e)/Init/
-Gen breakdown.
+Gen breakdown (``weight``/``init``/``gen``); ``update`` times Update: the
+advance, the key hash, the coin and, in the ring, the refill.
 """
 from __future__ import annotations
 
@@ -78,7 +81,7 @@ def _make_scalar_stepper(csr: CSRGraph, app: RandomWalkApp, seed: int, timers: d
     clock = time.perf_counter if timers is not None else None
 
     def walkers(qids: np.ndarray, sources: np.ndarray) -> list[Walker]:
-        keys = rng.key(seed, qids, 0)
+        keys = rng.key(seed, qids, 0).tolist()
         return [Walker(q, v, k) for q, v, k in zip(qids.tolist(), sources.tolist(), keys)]
 
     def move(w: Walker, s: int, d: int, probed: list | None) -> int:
@@ -118,12 +121,15 @@ def _make_scalar_stepper(csr: CSRGraph, app: RandomWalkApp, seed: int, timers: d
             return -1
         # Update: advance; below the length limit, hash the new length's key
         # and flip its coin.
+        t0 = clock() if clock else 0.0
         w.prev, w.cur, w.length = w.cur, int(dst[s + x]), w.length + 1
         w.path.append(w.cur)
         w.live = w.length < max_len
         if w.live:
-            w.key = rng.key(seed, w.qid, w.length)
+            w.key = rng.key_scalar(seed, w.qid, w.length)
             w.live = not app.stop_scalar(w.key)
+        if clock:
+            _tick(timers, "update", t0)
         return s + x
 
     return walkers, step
@@ -225,6 +231,7 @@ def run_interleaved(
 
         # -- Update: record moves; below the length limit, hash each moved
         # walker's key at its new length and flip its coin; refill the ring. --
+        t0 = clock() if clock else 0.0
         moved = local >= 0
         nxt = dst[starts[moved] + local[moved]]
         new_len = r["len"] + 1
@@ -241,6 +248,8 @@ def run_interleaved(
             new = slice(submitted, min(n, submitted + int((~live).sum())))
             submitted = new.stop
             r = {f: np.concatenate([a[live], fresh[f][new]]) for f, a in r.items()}
+        if clock:
+            _tick(timers, "update", t0)
     return out.finish(timers=timers, meta={"ring_iterations": iters, "ring_size": k})
 
 

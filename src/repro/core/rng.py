@@ -15,9 +15,14 @@ the counter layout: a walker's key is hashed once when it reaches a
 length, and that length's Update coin (``model.TERM_DRAW``) and the Move
 from it (draws below ``2·sampling.base.MAX_ATTEMPTS``) finish it. Engines
 request the same logical draws regardless of execution order, so two
-engines running the same sampler produce identical walks. All functions
-are vectorized over NumPy arrays (inputs broadcast), which is what makes
-the step-interleaved (ring) engine able to draw for k walkers in one call.
+engines running the same sampler produce identical walks. :func:`key`,
+:func:`uniform` and :func:`randint` are vectorized over NumPy arrays
+(inputs broadcast), which is what makes the step-interleaved (ring) engine
+able to draw for k walkers in one call. :func:`key_scalar`,
+:func:`uniform_scalar` and :func:`randint_scalar` are the same hash in
+Python ints (``& (2**64 - 1)`` after each add and multiply), bitwise equal
+and free of NumPy's per-call dispatch, for the scalar engines' one walker
+at a time.
 """
 from __future__ import annotations
 
@@ -30,6 +35,11 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _K_QID = np.uint64(0xD6E8FEB86659FD93)
 _K_STEP = np.uint64(0xCA01F9DD56C24D11)
 _K_DRAW = np.uint64(0x2545F4914F6CDD1D)
+
+# The same constants as Python ints, for the scalar forms.
+_GOLDEN_I, _M1_I, _M2_I = int(_GOLDEN), int(_M1), int(_M2)
+_K_QID_I, _K_STEP_I, _K_DRAW_I = int(_K_QID), int(_K_STEP), int(_K_DRAW)
+_MASK = (1 << 64) - 1
 
 _INV_2_53 = 1.0 / (1 << 53)
 
@@ -45,6 +55,17 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mix_int(z: int) -> int:
+    """:func:`_mix64` of ``z mod 2^64`` on Python ints, so callers need not
+    reduce a sum or product before mixing it."""
+    z = (z + _GOLDEN_I) & _MASK
+    z ^= z >> 30
+    z = (z * _M1_I) & _MASK
+    z ^= z >> 27
+    z = (z * _M2_I) & _MASK
+    return z ^ (z >> 31)
+
+
 def key(seed, qid, step) -> np.ndarray:
     """One walker step's key per broadcast ``(seed, qid, step)``: uint64
     ``mix(mix(s ^ q) + t)``, finished by every draw of that step."""
@@ -53,6 +74,12 @@ def key(seed, qid, step) -> np.ndarray:
         q = np.asarray(qid, dtype=np.uint64) * _K_QID
         t = np.asarray(step, dtype=np.uint64) * _K_STEP
         return _mix64(_mix64(s ^ q) + t)
+
+
+def key_scalar(seed, qid, step) -> int:
+    """:func:`key` of one ``(seed, qid, step)``, as a Python int."""
+    q = (int(qid) * _K_QID_I) & _MASK
+    return _mix_int(_mix_int(int(seed) ^ q) + int(step) * _K_STEP_I)
 
 
 def uniform(key, draw) -> np.ndarray:
@@ -83,10 +110,11 @@ def randint(key, draw, bound) -> np.ndarray:
 
 
 def uniform_scalar(key, draw: int) -> float:
-    """Scalar convenience wrapper (same value as the vectorized path)."""
-    return float(uniform(key, draw))
+    """:func:`uniform` of one ``(key, draw)``; ``key`` is a Python int or
+    a NumPy uint64."""
+    return (_mix_int(int(key) + int(draw) * _K_DRAW_I) >> 11) * _INV_2_53
 
 
 def randint_scalar(key, draw: int, bound: int) -> int:
-    """Scalar convenience wrapper (same value as the vectorized path)."""
-    return int(randint(key, draw, bound))
+    """:func:`randint` of one ``(key, draw, bound)``, with its guard."""
+    return min(int(uniform_scalar(key, draw) * bound), max(int(bound) - 1, 0))

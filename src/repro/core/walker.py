@@ -54,8 +54,9 @@ class WalkOutput:
 
 class Walker:
     """One query's walker in the scalar engines: Algorithm 2's state, its
-    step key at ``length``, whether Update lets it move again and the
-    vertices it has visited (``path[0]`` is the source)."""
+    step key at ``length`` (a Python int, which ``rng.*_scalar`` finish),
+    whether Update lets it move again and the vertices it has visited
+    (``path[0]`` is the source)."""
 
     __slots__ = ("qid", "cur", "prev", "length", "key", "live", "path")
 

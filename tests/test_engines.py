@@ -240,12 +240,14 @@ def test_unknown_engine(small_graph, sources_small):
 
 def test_timers_populated(small_graph, sources_small):
     app = make_app("node2vec", length=5)
-    timers = {}
-    run_walks(small_graph, app, sources_small[:10], engine="interleaved",
-              seed=SEED, timers=timers)
-    assert timers.get("weight", 0) > 0
-    assert timers.get("init", 0) > 0
-    assert timers.get("gen", 0) > 0
+    for engine in ("sequential", "interleaved"):
+        timers = {}
+        run_walks(small_graph, app, sources_small[:10], engine=engine,
+                  seed=SEED, timers=timers)
+        assert timers.get("weight", 0) > 0
+        assert timers.get("init", 0) > 0
+        assert timers.get("gen", 0) > 0
+        assert timers.get("update", 0) > 0
 
 
 def test_total_steps_counts_moves(small_graph):
@@ -275,13 +277,18 @@ def test_no_key_hashed_at_target_length(engine, small_graph, sources_small, monk
     app = make_app("deepwalk", length=6)
     ref = run_walks(small_graph, app, sources_small, engine=engine, seed=SEED)
     hashed = []
-    real_key = eng.rng.key
+    real_key, real_key_scalar = eng.rng.key, eng.rng.key_scalar
 
     def key(seed, qid, step):
         hashed.append(np.broadcast_to(step, np.broadcast(qid, step).shape).ravel())
         return real_key(seed, qid, step)
 
+    def key_scalar(seed, qid, step):
+        hashed.append(np.array([step]))
+        return real_key_scalar(seed, qid, step)
+
     monkeypatch.setattr(eng.rng, "key", key)
+    monkeypatch.setattr(eng.rng, "key_scalar", key_scalar)
     out = run_walks(small_graph, app, sources_small, engine=engine, seed=SEED)
     steps = np.concatenate(hashed)
     assert steps.max() < 6

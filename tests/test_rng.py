@@ -18,18 +18,6 @@ def test_uniform_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_scalar_matches_vector():
-    vec = rng.uniform(rng.key(9, np.arange(32), 5), 1)
-    for q in range(32):
-        assert rng.uniform_scalar(rng.key(9, q, 5), 1) == vec[q]
-
-
-def test_randint_scalar_matches_vector():
-    vec = rng.randint(rng.key(9, np.arange(32), 5), 1, 17)
-    for q in range(32):
-        assert rng.randint_scalar(rng.key(9, q, 5), 1, 17) == vec[q]
-
-
 @pytest.mark.parametrize("bound", [1, 2, 7, 64, 1000])
 def test_randint_bounds(bound):
     x = rng.randint(rng.key(3, np.arange(20_000), 0), 0, bound)
@@ -89,6 +77,41 @@ def test_mix64_bijective_sample():
 _EDGES = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
 # Draw indices whose draw·K_DRAW wraps past 2^64 (the smallest one is 7).
 _WRAP_DRAWS = [7, 2**32, 2**63 + 1, 2**64 - 1]
+
+
+def _scalar_lanes():
+    """(seed, qid, step) as Python ints — every combination of the
+    edge-case counters, then 300 random lanes — and their vector keys."""
+    r = np.random.default_rng(9)
+    edges = [(s, q, t) for s in _EDGES for q in _EDGES for t in _EDGES]
+    lanes = edges + [tuple(x) for x in r.integers(0, 2**64, (300, 3), dtype=np.uint64).tolist()]
+    return lanes, rng.key(*(np.array(c, dtype=np.uint64) for c in zip(*lanes)))
+
+
+_SCALAR_DRAWS = [0, 1, 2, 1023] + _WRAP_DRAWS
+
+
+@pytest.mark.filterwarnings("error")
+def test_scalar_matches_vector():
+    """``key_scalar`` and ``uniform_scalar`` (key as a Python int and as
+    np.uint64) equal the vector forms bitwise."""
+    lanes, keys = _scalar_lanes()
+    assert [rng.key_scalar(*lane) for lane in lanes] == keys.tolist()
+    for d in _SCALAR_DRAWS:
+        vec = rng.uniform(keys, d).tolist()
+        assert [rng.uniform_scalar(k, d) for k in keys.tolist()] == vec
+        assert [rng.uniform_scalar(k, d) for k in keys] == vec  # np.uint64 keys
+
+
+@pytest.mark.filterwarnings("error")
+def test_randint_scalar_matches_vector():
+    _, keys = _scalar_lanes()
+    for bound in [0, 1, 97, 10**9]:  # 0: the guard's max(bound - 1, 0)
+        for d in _SCALAR_DRAWS:
+            vec = rng.randint(keys, d, bound).tolist()
+            assert [rng.randint_scalar(k, d, bound) for k in keys.tolist()] == vec
+            assert [rng.randint_scalar(k, d, bound) for k in keys] == vec
+
 
 # Values of the hash before it was split into a step key and a per-draw
 # finish: (seed, qid, step, draw) -> (uniform, randint with bound 97).
