@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.model import RandomWalkApp, WalkerType
 from repro.graph.csr import CSRGraph
-from repro.sampling.base import bisect_contains
+from repro.sampling.base import segment_search
 
 
 def node2vec_weight(
@@ -36,7 +36,8 @@ def node2vec_weight(
     safe_prev = np.maximum(prev, 0)
     lo = csr.indptr[safe_prev]
     hi = csr.indptr[safe_prev + 1]
-    is_nb = bisect_contains(csr.dst, lo, hi, dst)
+    i = segment_search(csr.dst, lo, hi, dst, "left")
+    is_nb = (i < hi) & (csr.dst[np.where(i < hi, i, 0)] == dst)
     w = np.where(is_nb, 1.0, w)
     w = np.where(dst == prev, 1.0 / a, w)
     return np.where(prev < 0, pmax, w)  # first step: Listing 1 returns MaxWeight

@@ -218,7 +218,7 @@ def run_interleaved(
         tab, seg_starts, rows = run_tab, starts, vs
         if gather:
             # -- Gather: flatten ragged segments, apply the Weight UDF. --
-            flat_idx, seg_ids, _, _ = flatten_segments(indptr, vs)
+            flat_idx, seg_ids = flatten_segments(starts, counts)
             w = app.weight_fn(csr, flat_idx, r["prev"][seg_ids], r["len"][seg_ids])
             if clock:
                 t0 = _tick(timers, "weight", t0)

@@ -6,11 +6,12 @@ stage) connected by memory / computation / control dependencies. Stages
 on control cycles ("cycle stages") are executed decoupled through the
 search ring; non-cycle stages run coupled through the task ring (§5.3).
 
-Besides documenting the design, the SDG drives the perf substrate: each
-stage carries an instruction estimate and its memory-access kind, from
-which the trace executor (:mod:`repro.perf.trace`) emits the address
-stream and the AMAC comparison (Table 13) derives its state-keeping
-overhead.
+Besides documenting the design, the SDG feeds the perf substrate one
+number per stage: the trace builder (:mod:`repro.perf.trace`) reads each
+stage's instruction estimate ``n_instr``. The addresses come from the
+replayed walks, not from a stage's ``mem``, and the AMAC comparison
+(Table 13) keys its state-keeping overhead on the cycle flags the trace
+builder sets on each lane stage.
 """
 from __future__ import annotations
 

@@ -35,19 +35,23 @@ class Sampler:
 
     * ``tables(csr, app)`` — what generation reads for the whole run:
       Algorithm 3's tables (cached on ``csr.aux``) for unbiased/static RW;
-      O-REJ's bound p* and, for static RW, its weight probe.
+      O-REJ's bound p* at every vertex and, for unbiased/static RW, the
+      weights it probes.
     * ``init(w, counts)`` — the initialization phase over ragged segments
       of ``w``, returning tables in the layout ``tables`` uses; ``None``
       for the methods without one (NAIVE, O-REJ), which never Gather.
+      Tables hold plain arrays only. REJ's and O-REJ's are the same two:
+      ``pstar`` per row and ``weights`` per edge, read by one attempt loop
+      (:mod:`repro.sampling.orej`), which both records generate with.
     * ``generate_scalar(tab, s, d, row, key, probe, probed)`` and
       ``generate_batch(tab, starts, counts, rows, keys, probe)`` — the
       local edge index per walker (-1: no move). A walker's candidates are
       ``[s, s + d)`` of the per-edge arrays in ``tab``, and its p* or total
-      is at ``row`` of the per-segment ones. ``key``/``keys`` are the
+      is at ``row`` of the per-row ones. ``key``/``keys`` are the
       walkers' step keys at their current length; every draw finishes one
       (draw 0 for NAIVE/ITS, 0 and 1 for ALIAS, 2a and 2a+1 for
       rejection attempt a). ``probe(flat_idx, rows)`` is the engine's
-      Weight UDF at CSR edges (O-REJ on dynamic RW), or None;
+      Weight UDF at CSR edges, which O-REJ on dynamic RW probes, or None;
       ``probed`` collects the candidates the scalar form probed (bucket
       for ALIAS, one per attempt for REJ/O-REJ), or is None.
     """
@@ -72,7 +76,7 @@ SAMPLERS: dict[str, Sampler] = {
                 unbiased_only=True),
         Sampler("its", _algorithm3, its.init, its.generate_scalar, its.generate_batch),
         Sampler("alias", _algorithm3, alias.init, alias.generate_scalar, alias.generate_batch),
-        Sampler("rej", _algorithm3, rej.init, rej.generate_scalar, rej.generate_batch),
+        Sampler("rej", _algorithm3, rej.init, orej.generate_scalar, orej.generate_batch),
         Sampler("orej", orej.tables, None, orej.generate_scalar, orej.generate_batch),
     )
 }

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import rng
-from repro.sampling.base import bisect_first_greater, segment_cumsum
+from repro.sampling.base import segment_cumsum, segment_search
 
 
 def init(w: np.ndarray, counts: np.ndarray) -> dict:
@@ -41,6 +41,6 @@ def generate_batch(tab, starts, counts, rows, keys, probe) -> np.ndarray:
     over its CDF segment. Returns local indices; -1 for zero-mass segments."""
     totals = tab["totals"][rows]
     x = rng.uniform(keys, 0) * totals
-    idx = bisect_first_greater(tab["cum"], starts, starts + counts, x)
+    idx = segment_search(tab["cum"], starts, starts + counts, x, "right")
     local = np.minimum(idx - starts, np.maximum(counts - 1, 0)).astype(np.int64)
     return np.where((totals > 0) & (counts > 0), local, -1)

@@ -50,8 +50,8 @@ def test_rej_tables(small_graph):
     for v in range(0, g.num_vertices, 61):
         s, e = int(g.indptr[v]), int(g.indptr[v + 1])
         expect = g.weight[s:e].max() if e > s else 0.0
-        assert tab["pmax"][v] == pytest.approx(expect)
-    assert np.all(tab["pmax"][deg == 0] == 0.0)
+        assert tab["pstar"][v] == pytest.approx(expect)
+    assert np.all(tab["pstar"][deg == 0] == 0.0)
 
 
 def test_build_caches(small_graph):
@@ -86,7 +86,7 @@ def test_alias_dynamic_init_ok_mask():
 def test_rej_dynamic_init():
     w = np.array([1.0, 5.0, 2.0])
     counts = np.array([2, 0, 1])
-    assert list(rej.init(w, counts)["pmax"]) == [5.0, 0.0, 2.0]
+    assert list(rej.init(w, counts)["pstar"]) == [5.0, 0.0, 2.0]
 
 
 def test_unknown_method(small_graph):

@@ -37,6 +37,9 @@ def _draws(module, tab, d, n):
     return np.array([module.generate_scalar(tab, 0, d, 0, rng.key(SEED, q, 0), None, None) for q in range(n)])
 
 
+REJ = SAMPLERS["rej"]  # REJ's init, generating through O-REJ's loop
+
+
 # ---------------------------------------------------------------- ALIAS ----
 
 @pytest.mark.parametrize("case", list(WEIGHT_CASES))
@@ -92,18 +95,18 @@ def test_its_never_picks_zero_weight():
 @pytest.mark.parametrize("case", ["uniform", "ramp", "skewed"])
 def test_rej_distribution(case):
     w = WEIGHT_CASES[case]
-    draws = _draws(rej, _init_one(rej, w), len(w), 60_000)
+    draws = _draws(REJ, _init_one(rej, w), len(w), 60_000)
     np.testing.assert_allclose(_empirical(draws, len(w)), _target(w), atol=0.01)
 
 
 def test_rej_zero_mass_dead():
-    assert rej.generate_scalar(_init_one(rej, np.zeros(3)), 0, 3, 0, rng.key(SEED, 0, 0), None, None) == -1
-    assert rej.generate_scalar(_init_one(rej, np.zeros(0)), 0, 0, 0, rng.key(SEED, 0, 0), None, None) == -1
+    assert REJ.generate_scalar(_init_one(rej, np.zeros(3)), 0, 3, 0, rng.key(SEED, 0, 0), None, None) == -1
+    assert REJ.generate_scalar(_init_one(rej, np.zeros(0)), 0, 0, 0, rng.key(SEED, 0, 0), None, None) == -1
 
 
 def test_rej_never_picks_zero_weight():
     w = WEIGHT_CASES["with_zeros"]
-    assert set(_draws(rej, _init_one(rej, w), len(w), 5000)) <= {1, 3}
+    assert set(_draws(REJ, _init_one(rej, w), len(w), 5000)) <= {1, 3}
 
 
 # ---------------------------------------------------------------- O-REJ ----
@@ -112,18 +115,18 @@ def test_rej_never_picks_zero_weight():
 def test_orej_distribution_any_valid_bound(pstar_slack):
     """O-REJ must sample correctly for ANY p* >= max weight."""
     w = WEIGHT_CASES["ramp"]
-    tab = {"pstar": float(w.max()) * pstar_slack, "probe": lambda idx, rows: w[idx]}
+    tab = {"pstar": np.array([float(w.max()) * pstar_slack]), "weights": w}
     draws = _draws(orej, tab, len(w), 60_000)
     np.testing.assert_allclose(_empirical(draws, len(w)), _target(w), atol=0.012)
 
 
 def test_orej_dead_on_zero_pstar():
-    assert orej.generate_scalar({"pstar": 0.0}, 0, 5, 0, rng.key(SEED, 0, 0), lambda i, r: i, None) == -1
+    assert orej.generate_scalar({"pstar": np.zeros(1)}, 0, 5, 0, rng.key(SEED, 0, 0), lambda i, r: i, None) == -1
 
 
 def test_orej_exhausts_attempts_on_zero_mass():
     probe = lambda idx, rows: np.zeros(len(idx))
-    assert orej.generate_scalar({"pstar": 1.0}, 0, 4, 0, rng.key(SEED, 0, 0), probe, None) == -1
+    assert orej.generate_scalar({"pstar": np.ones(1)}, 0, 4, 0, rng.key(SEED, 0, 0), probe, None) == -1
 
 
 # ---------------------------------------------------------------- NAIVE ----
@@ -167,7 +170,7 @@ def test_batch_matches_scalar(method, step):
     if rec.init is not None:
         tab = rec.init(flat, counts)
     elif method == "orej":
-        tab = {"pstar": 4.0, "probe": lambda idx, rows: flat[idx]}
+        tab = {"pstar": np.full(len(ws), 4.0), "weights": flat}
     else:
         tab = {}
     qids = np.arange(len(ws))
@@ -182,9 +185,11 @@ def test_batch_matches_scalar(method, step):
 
 @pytest.mark.parametrize("step", [0, 5])
 def test_rej_equals_orej_with_table_probe(step):
-    """REJ is O-REJ given REJ's weights as a table probe and the same bound,
-    bitwise, in both forms: over random ragged segments, an empty one, a
-    zero-mass one and one that gives up (weights << p*, every attempt
+    """The attempt loop's two weight sources agree: REJ's tables (a
+    ``weights`` array) and the engine's ``probe`` over the same weights
+    and bound (dynamic O-REJ) pick bitwise-equal edges in both forms and
+    probe the same candidates, over random ragged segments, an empty one,
+    a zero-mass one and one that gives up (weights << p*, every attempt
     misses)."""
     rs = np.random.default_rng(step)
     ws = [rs.uniform(0.0, 4.0, rs.integers(1, 12)) for _ in range(40)]
@@ -192,20 +197,19 @@ def test_rej_equals_orej_with_table_probe(step):
     counts, starts = _flat_tables(ws)
     flat = np.concatenate(ws)
     rtab = rej.init(flat, counts)
-    rtab["pmax"][-1] = 1.0  # forced give-up
+    rtab["pstar"][-1] = 1.0  # forced give-up
+    ptab = {"pstar": rtab["pstar"]}
     probe = lambda idx, rows: flat[idx]
     qids = np.arange(len(ws))
     steps = np.full(len(ws), step)
-    got = rej.generate_batch(rtab, starts, counts, qids, rng.key(SEED, qids, steps), None)
-    want = orej.generate_batch({"pstar": rtab["pmax"], "probe": probe}, starts, counts, qids,
-                               rng.key(SEED, qids, steps), None)
+    got = REJ.generate_batch(rtab, starts, counts, qids, rng.key(SEED, qids, steps), None)
+    want = orej.generate_batch(ptab, starts, counts, qids, rng.key(SEED, qids, steps), probe)
     assert np.array_equal(got, want)
     for i in range(len(ws)):
         s, d = int(starts[i]), int(counts[i])
         rej_probed, orej_probed = [], []
-        x = rej.generate_scalar(rtab, s, d, i, rng.key(SEED, i, step), None, rej_probed)
-        y = orej.generate_scalar({"pstar": float(rtab["pmax"][i]), "probe": probe},
-                                 s, d, i, rng.key(SEED, i, step), None, orej_probed)
+        x = REJ.generate_scalar(rtab, s, d, i, rng.key(SEED, i, step), None, rej_probed)
+        y = orej.generate_scalar(ptab, s, d, i, rng.key(SEED, i, step), probe, orej_probed)
         assert x == y == got[i]
         assert rej_probed == orej_probed
     assert got[-3] == got[-2] == got[-1] == -1

@@ -4,28 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sampling.base import (
-    bisect_contains,
-    bisect_first_greater,
-    flatten_segments,
-    segment_cumsum,
-)
+from repro.sampling.base import flatten_segments, segment_cumsum, segment_search
 
 
 def test_flatten_segments_basic():
-    indptr = np.array([0, 2, 2, 5])
-    flat, seg, starts, counts = flatten_segments(indptr, np.array([0, 2, 1]))
+    # the segments of vertices 0, 2, 1 under indptr [0, 2, 2, 5]
+    flat, seg = flatten_segments(np.array([0, 2, 2]), np.array([2, 3, 0]))
     assert list(flat) == [0, 1, 2, 3, 4]
     assert list(seg) == [0, 0, 1, 1, 1]
-    assert list(starts) == [0, 2, 2]
-    assert list(counts) == [2, 3, 0]
 
 
 def test_flatten_segments_repeats_vertex():
-    indptr = np.array([0, 3])
-    flat, seg, _, counts = flatten_segments(indptr, np.array([0, 0]))
+    flat, seg = flatten_segments(np.array([0, 0]), np.array([3, 3]))
     assert list(flat) == [0, 1, 2, 0, 1, 2]
-    assert list(counts) == [3, 3]
+    assert list(seg) == [0, 0, 0, 1, 1, 1]
 
 
 def test_segment_cumsum_matches_manual():
@@ -55,7 +47,7 @@ def test_segment_cumsum_property(segs):
         off += len(s)
 
 
-def test_bisect_first_greater_matches_searchsorted():
+def test_segment_search_right_matches_searchsorted():
     g = np.random.default_rng(0)
     arr_parts, starts, ends, xs = [], [], [], []
     off = 0
@@ -68,27 +60,29 @@ def test_bisect_first_greater_matches_searchsorted():
         xs.append(g.random())
         off += n
     arr = np.concatenate(arr_parts)
-    got = bisect_first_greater(arr, np.array(starts), np.array(ends), np.array(xs))
+    got = segment_search(arr, np.array(starts), np.array(ends), np.array(xs), "right")
     for i, (s, e, x) in enumerate(zip(starts, ends, xs)):
         assert got[i] - s == np.searchsorted(arr[s:e], x, side="right")
 
 
-def test_bisect_first_greater_all_greater_and_none():
+def test_segment_search_right_all_greater_and_none():
     arr = np.array([1.0, 2.0, 3.0])
     lo, hi = np.array([0, 0]), np.array([3, 3])
-    got = bisect_first_greater(arr, lo, hi, np.array([-1.0, 99.0]))
+    got = segment_search(arr, lo, hi, np.array([-1.0, 99.0]), "right")
     assert list(got) == [0, 3]
 
 
-def test_bisect_contains_matches_python():
+def test_segment_search_left_membership_matches_python():
     g = np.random.default_rng(1)
     arr = np.sort(g.integers(0, 100, 60))
     lo = np.array([0, 10, 30, 59, 60])
     hi = np.array([60, 30, 30, 60, 60])
     x = np.array([int(arr[5]), int(arr[15]), 50, int(arr[59]), 1])
-    got = bisect_contains(arr, lo, hi, x)
+    got = segment_search(arr, lo, hi, x, "left")
     for i in range(len(lo)):
-        assert got[i] == (x[i] in arr[lo[i] : hi[i]])
+        assert got[i] - lo[i] == np.searchsorted(arr[lo[i] : hi[i]], x[i], side="left")
+        found = got[i] < hi[i] and arr[got[i]] == x[i]
+        assert found == (x[i] in arr[lo[i] : hi[i]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -96,7 +90,7 @@ def test_bisect_contains_matches_python():
     st.lists(st.integers(0, 30), min_size=1, max_size=30),
     st.integers(0, 30),
 )
-def test_bisect_contains_property(vals, probe):
+def test_segment_search_left_membership_property(vals, probe):
     arr = np.sort(np.array(vals, dtype=np.int64))
-    got = bisect_contains(arr, np.array([0]), np.array([len(arr)]), np.array([probe]))
-    assert bool(got[0]) == (probe in vals)
+    i = int(segment_search(arr, np.array([0]), np.array([len(arr)]), np.array([probe]), "left")[0])
+    assert (i < len(arr) and arr[i] == probe) == (probe in vals)

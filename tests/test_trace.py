@@ -6,8 +6,10 @@ import pytest
 
 from repro.algos import make_app
 from repro.core.engine import run_walks
+from repro.core.sdg import sdg_for
 from repro.perf import trace
 from repro.graph import generators as gen
+from repro.sampling import METHODS
 
 SEED = 44
 
@@ -53,10 +55,17 @@ def test_stage_tuple_shape(small_graph, sources_small):
             assert isinstance(br, (bool, np.bool_)) and isinstance(cyc, (bool, np.bool_))
 
 
-def test_alias_has_no_cycle_stages(small_graph, sources_small):
-    app = make_app("deepwalk", length=5)  # alias
+@pytest.mark.parametrize(
+    "method,kind", [(m, k) for m in METHODS for k in ("unbiased", "static") if m != "naive" or k == "unbiased"]
+)
+def test_cycle_stages_iff_sdg_has_them(method, kind, small_graph, sources_small):
+    """Move-only lanes (unbiased or static DeepWalk, which never Gather)
+    flag a cycle stage iff the method's SDG has cycle stages. Lanes that
+    Gather are left out: Node2Vec's Gather flags its binary searches in
+    N(prev) as cycle stages even under ALIAS, whose Move SDG has none."""
+    app = make_app("deepwalk", length=5, weighted=kind == "static").with_sampler(method)
     lanes, _ = trace.build_rw_lanes(small_graph, app, sources_small, seed=SEED)
-    assert not any(st[3] for lane in lanes for st in lane)
+    assert any(st[3] for lane in lanes for st in lane) == bool(sdg_for(method).cycle_stages())
 
 
 def test_rej_marks_cycle_and_branches(small_graph, sources_small):
