@@ -6,12 +6,13 @@ stage) connected by memory / computation / control dependencies. Stages
 on control cycles ("cycle stages") are executed decoupled through the
 search ring; non-cycle stages run coupled through the task ring (§5.3).
 
-Besides documenting the design, the SDG feeds the perf substrate one
-number per stage: the trace builder (:mod:`repro.perf.trace`) reads each
-stage's instruction estimate ``n_instr``. The addresses come from the
-replayed walks, not from a stage's ``mem``, and the AMAC comparison
-(Table 13) keys its state-keeping overhead on the cycle flags the trace
-builder sets on each lane stage.
+Besides documenting the design, the SDG drives the perf substrate: the
+trace builder (:mod:`repro.perf.trace`) emits every replayed step from
+:meth:`SDG.split` — the stages before the first draw, the rejection cycle
+once per probed candidate, then the rest — reading each stage's order,
+``mem`` label (which it maps to an address) and ``n_instr``. The AMAC
+comparison (Table 13) keys its state-keeping overhead on the cycle flags
+the trace builder sets on each lane stage.
 """
 from __future__ import annotations
 
@@ -51,38 +52,36 @@ class SDG:
     def stage(self, name: str) -> Stage:
         return next(s for s in self.stages if s.name == name)
 
-    def _adj(self, kinds: set[str]) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {s.name: [] for s in self.stages}
-        for d in self.deps:
-            if d.kind in kinds:
-                adj[d.src].append(d.dst)
-        return adj
+    def _reach(self, kinds: set[str]) -> dict[str, set[str]]:
+        """Each stage → the stages reachable from it over ≥ 1 ``kinds`` edge."""
+        reach = {st.name: {d.dst for d in self.deps if d.src == st.name and d.kind in kinds}
+                 for st in self.stages}
+        for k in reach:  # Warshall: admit the paths through k
+            for n in reach:
+                if k in reach[n]:
+                    reach[n] |= reach[k]
+        return reach
 
     def _cyclic_nodes(self, kinds: set[str]) -> set[str]:
         """Nodes on at least one cycle in the subgraph of ``kinds`` edges."""
-        adj = self._adj(kinds)
-        on_cycle: set[str] = set()
-        for start in adj:
-            stack = [(start, iter(adj[start]))]
-            seen = {start}
-            while stack:
-                node, it = stack[-1]
-                found = False
-                for nxt in it:
-                    if nxt == start:
-                        on_cycle.add(start)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append((nxt, iter(adj[nxt])))
-                        found = True
-                        break
-                if not found:
-                    stack.pop()
-        return on_cycle
+        reach = self._reach(kinds)
+        return {n for n in reach if n in reach[n]}
 
     def cycle_stages(self) -> set[str]:
         """Stages on cycles (control edges included) — search-ring stages."""
         return self._cyclic_nodes({MEMORY, COMPUTATION, CONTROL})
+
+    def split(self) -> tuple[list[Stage], list[Stage], list[Stage]]:
+        """``(setup, attempt, finish)``: the stages before the first draw
+        (the first stage with an outgoing computation dependency), the cycle
+        holding that draw, repeated per rejection attempt (empty when the
+        draw is on no cycle), and the remaining stages in order."""
+        i = next(i for i, st in enumerate(self.stages)
+                 if any(d.src == st.name and d.kind == COMPUTATION for d in self.deps))
+        draw = self.stages[i].name
+        reach = self._reach({MEMORY, COMPUTATION, CONTROL})
+        attempt = [st for st in self.stages if st.name in reach[draw] and draw in reach[st.name]]
+        return self.stages[:i], attempt, [st for st in self.stages[i:] if st not in attempt]
 
     def data_dependency_is_dag(self) -> bool:
         """§5.2: considering only data dependencies, SDG must be a DAG."""
@@ -123,7 +122,7 @@ def _rej_sdg() -> SDG:
             Stage("S0", ("O0: load d_v",), mem="d_v", n_instr=15),
             Stage("S1", ("O1: load p*_v",), mem="p*_v", n_instr=10),
             Stage("S2", ("O2: gen int x", "O3: gen real y in [0,p*)",
-                         "O4: load C[x]=p"), mem="C[x]", n_instr=45),
+                         "O4: load C[x]=p"), mem="E_v[x] weight", n_instr=45),
             Stage("S3", ("O5: if y > C[x] jump to O2 else O6",), n_instr=8),
             Stage("S4", ("O6: load E_v[x]",), mem="E_v[x]", n_instr=15),
             Stage("S5", ("O7: add v' to Q",), n_instr=25),
@@ -163,7 +162,7 @@ def _its_sdg() -> SDG:
         stages=[
             Stage("S0", ("load d_v, total_v",), mem="d_v", n_instr=20),
             Stage("S1", ("gen real x in [0,total)",), n_instr=35),
-            Stage("S2", ("load cum[mid]", "compare, narrow [lo,hi)"), mem="cum[mid]", n_instr=18),
+            Stage("S2", ("load cum[mid]", "compare, narrow [lo,hi)"), mem="cum[mid]", n_instr=12),
             Stage("S3", ("load E_v[i]",), mem="E_v[i]", n_instr=15),
             Stage("S4", ("add v' to Q",), n_instr=25),
         ],

@@ -1,15 +1,15 @@
 """Ring-size tuning (§5.4, Table 9).
 
 The paper pre-executes short static walks (one per vertex, target length
-10), sweeping the task ring size k over powers of two up to 1024 for
-NAIVE and ALIAS, then fixes k* and sweeps the search ring size k' for the
-cycle-stage methods (ITS/REJ/O-REJ).
+10), sweeping the task ring size k over powers of two up to 1024 for the
+sampling methods whose SDG has no cycle stage, then fixes k* and sweeps
+the search ring size k' for the cycle-stage methods.
 
 In this substrate the ring engine vectorizes cycle stages over the same
 ring as non-cycle stages, so the search ring coincides with the task ring;
-we keep the two-pass protocol (NAIVE/ALIAS pick k*, then ITS/REJ/O-REJ are
-swept up to k*) and report per-method optima plus the tuning wall time —
-the quantity Table 9 records.
+we keep the two-pass protocol (the methods without cycle stages pick k*,
+then the rest are swept up to k*) and report per-method optima plus the
+tuning wall time — the quantity Table 9 records.
 """
 from __future__ import annotations
 
@@ -20,7 +20,9 @@ import numpy as np
 
 from repro.algos import deepwalk
 from repro.core.engine import MAX_RING_SIZE, run_walks
+from repro.core.sdg import sdg_for
 from repro.graph.csr import CSRGraph
+from repro.sampling import METHODS, SAMPLERS
 
 
 @dataclass
@@ -32,7 +34,8 @@ class TuningResult:
 
 
 def _walk_time(csr: CSRGraph, sampler: str, sources: np.ndarray, k: int, length: int) -> float:
-    app = deepwalk.make_app(length=length, weighted=(sampler != "naive")).with_sampler(sampler)
+    weighted = not SAMPLERS[sampler].unbiased_only
+    app = deepwalk.make_app(length=length, weighted=weighted).with_sampler(sampler)
     t0 = time.perf_counter()
     run_walks(csr, app, sources, engine="interleaved", seed=1, ring_size=k)
     return time.perf_counter() - t0
@@ -44,7 +47,8 @@ def tune_ring_sizes(
     length: int = 10,
     max_queries: int | None = None,
 ) -> TuningResult:
-    """§5.4 protocol: sweep k on NAIVE/ALIAS, then k' ≤ k* on the rest."""
+    """§5.4 protocol: sweep k on the methods without cycle stages, then
+    k' ≤ k* on the rest, each pass in ``METHODS`` order."""
     t_start = time.perf_counter()
     deg = csr.degrees()
     sources = np.flatnonzero(deg > 0)
@@ -52,9 +56,11 @@ def tune_ring_sizes(
         sources = sources[:: max(1, len(sources) // max_queries)][:max_queries]
     ks = [1 << i for i in range(0, int(np.log2(max_k)) + 1)]
     per_method: dict = {}
-    # Pass 1: task ring on NAIVE and ALIAS.
+    cyclic = [m for m in METHODS if sdg_for(m).cycle_stages()]
+    coupled = [m for m in METHODS if m not in cyclic]
+    # Pass 1: task ring on the methods without cycle stages.
     best_times = {}
-    for m in ("naive", "alias"):
+    for m in coupled:
         times = {k: _walk_time(csr, m, sources, k, length) for k in ks}
         best = min(times, key=times.get)
         per_method[m] = (best, times)
@@ -62,11 +68,11 @@ def tune_ring_sizes(
     k_star = max(best_times.values())
     # Pass 2: search ring for the cycle-stage methods, k' ≤ k*.
     ks2 = [k for k in ks if k <= k_star] or [1]
-    for m in ("its", "rej", "orej"):
+    for m in cyclic:
         times = {k: _walk_time(csr, m, sources, k, length) for k in ks2}
         best = min(times, key=times.get)
         per_method[m] = (best, times)
-    search = int(np.median([per_method[m][0] for m in ("its", "rej", "orej")]))
+    search = int(np.median([per_method[m][0] for m in cyclic]))
     return TuningResult(
         task_ring=int(k_star),
         search_ring=search,

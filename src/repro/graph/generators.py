@@ -45,15 +45,13 @@ def _finish(
     seed: int,
     name: str,
     num_labels: int = DEFAULT_NUM_LABELS,
-    mirror: bool = True,
 ) -> CSRGraph:
     """Mirror, dedup, and attach weights/labels — shared generator tail.
 
     Mirroring happens *before* dedup so an input containing both (a, b)
     and (b, a) yields each directed edge exactly once.
     """
-    if mirror:
-        src, dst = undirected(src, dst)
+    src, dst = undirected(src, dst)
     src, dst = _dedup(src, dst)
     g = np.random.default_rng(seed + 7)
     m = len(src)

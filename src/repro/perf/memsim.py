@@ -100,6 +100,11 @@ class SimStats:
         return self.dram_bytes() / secs / 1e9 if secs > 0 else 0.0
 
 
+# The cache levels a DRAM-filled line enters under each ``_mm_prefetch``
+# hint; the non-temporal hint fills L1 only, bypassing L2/L3.
+_INSTALL = {"t0": ("l1", "l2", "l3"), "t1": ("l2", "l3"), "t2": ("l3",), "nta": ("l1",)}
+
+
 class Hierarchy:
     """Three-level inclusive-ish cache front of DRAM."""
 
@@ -111,17 +116,8 @@ class Hierarchy:
         self.bus_free = 0.0  # DRAM channel availability time
 
     def _install(self, line: int, install: str) -> None:
-        if install == "t0":
-            self.l1.insert(line)
-            self.l2.insert(line)
-            self.l3.insert(line)
-        elif install == "t1":
-            self.l2.insert(line)
-            self.l3.insert(line)
-        elif install == "t2":
-            self.l3.insert(line)
-        elif install == "nta":
-            self.l1.insert(line)  # non-temporal: L1 only, bypass L2/L3
+        for level in _INSTALL[install]:
+            getattr(self, level).insert(line)
 
     def _bus(self, clock: float) -> float:
         """Occupy the DRAM channel for one line; returns queueing delay."""

@@ -9,8 +9,9 @@ sampler-table probes, destination loads, streamed adjacency for Gather,
 binary-search probes into N(prev) for Node2Vec.
 
 RW lanes are generated by replaying each walk with the scalar engines'
-stepper, which reports the candidates its sampler probed; the trace only
-chooses the SDG stages and addresses for them. The profiled trace is
+stepper, which reports the candidates its sampler probed; the sampler's
+SDG (:mod:`repro.core.sdg`) gives each step's stages, and the trace maps
+their ``mem`` labels to addresses. The profiled trace is
 therefore the real workload, not a synthetic access pattern.
 """
 from __future__ import annotations
@@ -34,19 +35,16 @@ R_DIST = 6 << 32
 R_SCRATCH = 7 << 32  # per-walker Gather/Init buffers (ring slot C, §4.2)
 
 _GATHER_INSTR_PER_EDGE = 10
-_BISECT_INSTR = 12
+_BISECT_INSTR = 12  # per N(prev) probe of Node2Vec's Weight UDF
 _INIT_INSTR = {"its": 4, "alias": 15, "rej": 2}  # per gathered element
 _SCRATCH_SLOT = 8192  # bytes of C-buffer per in-flight walker
+_COUPLED = (False, False)  # (mispredicted, cycle) of a task-ring stage
 
 
 def _scratch_base(qid: int) -> int:
     """Each in-flight walker reuses its own ring-slot buffer — hot in
     cache after the first step, exactly like the engine's C arrays."""
     return R_SCRATCH + (qid % 128) * _SCRATCH_SLOT
-
-
-def _instr(method: str) -> dict[str, int]:
-    return {s.name: s.n_instr for s in sdg_for(method).stages}
 
 
 def _stream_lines(region: int, start: int, end: int, width: int, instr_per_item: int):
@@ -63,7 +61,7 @@ def _stream_lines(region: int, start: int, end: int, width: int, instr_per_item:
     return stages
 
 
-def _bisect_probes(region: int, base_items: int, lo: int, hi: int, go_right) -> list:
+def _bisect_probes(n_instr: int, region: int, base_items: int, lo: int, hi: int, go_right) -> list:
     """Replay a binary search over [lo, hi), one probe stage per iteration;
     ``go_right(mid)`` is the comparison's outcome at ``mid``."""
     stages = []
@@ -73,7 +71,7 @@ def _bisect_probes(region: int, base_items: int, lo: int, hi: int, go_right) -> 
         mid = (l + h) >> 1
         # Binary-search direction branches are near-coin-flips for the
         # predictor: model about a third of the iterations as mispredicted.
-        stages.append((_BISECT_INSTR, region + (base_items + mid) * 8, it % 3 == 1, True))
+        stages.append((n_instr, region + (base_items + mid) * 8, it % 3 == 1, True))
         it += 1
         if go_right(mid):
             l = mid + 1
@@ -84,24 +82,54 @@ def _bisect_probes(region: int, base_items: int, lo: int, hi: int, go_right) -> 
 
 def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int = 0):
     """Replay each query's walk, yielding ``(lane, path)`` per query; the
-    path is the walk the engines emit for that query."""
-    sampler = app.sampler
-    ins = _instr(sampler)
+    path is the walk the engines emit for that query.
+
+    Every step emits the sampler's SDG (:meth:`repro.core.sdg.SDG.split`):
+    the d_v load, the Gather streams, the rest of the setup, the attempt
+    stages once per probed candidate (also when the walker gives up), and
+    the finish stages if the walker moved."""
+    setup, attempt, finish = sdg_for(app.sampler).split()
     indptr, dst = csr.indptr, csr.dst
     walkers, step = _make_scalar_stepper(csr, app, seed)
-    dynamic = app.walker_type is WalkerType.DYNAMIC
     gather = gathers(app)
-    rej = sampler == "rej"
     n2v = app.name == "node2vec"
+    init_instr = _INIT_INSTR.get(app.sampler, 3)
 
     def member_probes(prev: int, cand: int) -> list:
         """Node2Vec's dist-1 test: binary search of ``cand`` in N(prev)."""
         lo, hi = int(indptr[prev]), int(indptr[prev + 1])
-        return _bisect_probes(R_DST, 0, lo, hi, lambda mid: dst[mid] < cand)
+        return _bisect_probes(_BISECT_INSTR, R_DST, 0, lo, hi, lambda mid: dst[mid] < cand)
+
+    # The one map from an SDG stage's ``mem`` label to the address it loads
+    # at the current step (``cur``, ``s``, ``slot``) for candidate ``x``
+    # (ALIAS: the bucket). A dynamic probe evaluates the Weight UDF at E_v[x].
+    weights = R_DST if app.walker_type is WalkerType.DYNAMIC else R_WEIGHT
+    load = {
+        None: lambda x: None,
+        "d_v": lambda x: R_INDPTR + 8 * cur,
+        "p*_v": lambda x: R_PMAX + 8 * cur,
+        "E_v[x] weight": lambda x: scratch + 8 * x if gather else weights + 8 * (s + x),
+        "C[x]": lambda x: scratch + 16 * x if gather else R_TABLE + 16 * (s + x),
+        **dict.fromkeys(("E_v[x]", "E_v[i]", "E_v-path"), lambda x: R_DST + 8 * slot),
+    }
+
+    def emit(lane: list, st, x, flags: tuple) -> None:
+        """Append SDG stage ``st`` flagged ``(mispredicted, cycle)``; ITS's
+        CDF search expands to one cycle stage per probe."""
+        if st.mem == "cum[mid]":
+            # The CDF search ends at the chosen index, which fixes its path.
+            region, base = (scratch, 0) if gather else (R_TABLE, s)
+            lane += _bisect_probes(st.n_instr, region, base, 0, d, lambda mid: mid < slot - s)
+            return
+        if st.mem == "E_v[x] weight" and n2v and not gather and prev >= 0:
+            # O-REJ's probe is one Weight-UDF evaluation: Node2Vec
+            # binary-searches N(prev) for the candidate.
+            lane += member_probes(prev, int(dst[s + x]))
+        lane.append((st.n_instr, load[st.mem](x), *flags))
 
     sources = np.asarray(sources, dtype=np.int64)
     for w in walkers(np.arange(len(sources)), sources):
-        qid = w.qid
+        scratch = _scratch_base(w.qid)
         lane: list = []
         while w.live:
             cur, prev = w.cur, w.prev
@@ -109,7 +137,9 @@ def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int =
             d = e - s
             if d == 0:
                 break
-            lane.append((ins["S0"], R_INDPTR + 8 * cur, False, False))
+            probed: list = []
+            slot = step(w, probed)
+            emit(lane, setup[0], None, _COUPLED)
             if gather:
                 # Gather: stream E_cur (+ Node2Vec's member-probes in N(prev)).
                 lane += _stream_lines(R_DST, s, e, 8, _GATHER_INSTR_PER_EDGE)
@@ -120,53 +150,18 @@ def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int =
                         lane += member_probes(prev, int(cand))
                 # Init phase: pass over the gathered weights in the
                 # walker's own (cache-hot) scratch buffer.
-                lane += _stream_lines(
-                    _scratch_base(qid), 0, d, 8, _INIT_INSTR.get(sampler, 3)
-                )
-            probed: list = []
-            slot = step(w, probed)
-            if sampler in ("rej", "orej"):
-                # Load p* (REJ), then one probe + test per attempt, emitted
-                # even when the walker gives up.
-                if rej:
-                    lane.append((ins["S1"], R_PMAX + 8 * cur, False, False))
-                probe_instr, test_instr = (ins["S2"], ins["S3"]) if rej else (ins["S1"], ins["S2"])
-                for a, xi in enumerate(probed):
-                    if rej and gather:
-                        addr = _scratch_base(qid) + 8 * xi
-                    elif not dynamic:
-                        addr = R_WEIGHT + 8 * (s + xi)
-                    else:
-                        # O-REJ dynamic probe = one Weight-UDF evaluation:
-                        # Node2Vec binary-searches N(prev) for the candidate.
-                        if n2v and prev >= 0:
-                            lane += member_probes(prev, int(dst[s + xi]))
-                        addr = R_DST + 8 * (s + xi)
-                    hit = slot >= 0 and a == len(probed) - 1
-                    lane.append((probe_instr, addr, False, True))
-                    lane.append((test_instr, None, not hit, True))
+                lane += _stream_lines(scratch, 0, d, 8, init_instr)
+            for st in setup[1:]:
+                emit(lane, st, None, _COUPLED)
+            for a, x in enumerate(probed):
+                accepted = slot >= 0 and a == len(probed) - 1
+                for st in attempt:
+                    emit(lane, st, x, (st.mem is None and not accepted, True))
             if slot < 0:
                 break
-            if sampler == "naive":
-                lane.append((ins["S1"], R_DST + 8 * slot, False, False))
-                lane.append((ins["S2"], None, False, False))
-            elif sampler == "its":
-                region, base = (_scratch_base(qid), 0) if gather else (R_TABLE, s)
-                lane.append((ins["S1"], None, False, False))
-                # The CDF search ends at the chosen index, which fixes its path.
-                lane += _bisect_probes(region, base, 0, d, lambda mid: mid < slot - s)
-                lane.append((ins["S3"], R_DST + 8 * slot, False, False))
-                lane.append((ins["S4"], None, False, False))
-            elif sampler == "alias":
-                xi = probed[0]
-                slot_addr = _scratch_base(qid) + 16 * xi if gather else R_TABLE + 16 * (s + xi)
-                lane.append((ins["S1"], slot_addr, False, False))
-                lane.append((ins["S2"], R_DST + 8 * slot, False, False))
-            elif rej:
-                lane.append((ins["S4"], R_DST + 8 * slot, False, False))
-                lane.append((ins["S5"], None, False, False))
-            else:
-                lane.append((ins["S3"], None, False, False))
+            x = probed[-1] if probed else None  # accepted candidate or ALIAS's bucket
+            for st in finish:
+                emit(lane, st, x, _COUPLED)
         yield lane, w.path
 
 

@@ -12,7 +12,7 @@ import pandas as pd
 
 from repro.algos import make_app
 from repro.perf import memsim, trace
-from repro.sampling import METHODS
+from repro.sampling import METHODS, SAMPLERS
 from repro.tables import common
 
 PAPER = pd.DataFrame(
@@ -43,7 +43,7 @@ def compute(
     rows = []
     for m in METHODS:
         app = make_app("deepwalk", length=walk_len,
-                       weighted=(m != "naive")).with_sampler(m)
+                       weighted=not SAMPLERS[m].unbiased_only).with_sampler(m)
         lanes, n = trace.build_rw_lanes(g, app, srcs, seed=seed)
         cycles = {
             col: memsim.run_trace(lanes, cfg, window=window, n_steps=n,

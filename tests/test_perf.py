@@ -103,6 +103,21 @@ def test_prefetch_level_nta_slower_on_reuse():
     assert nta > t0
 
 
+@pytest.mark.parametrize("hint,levels", [
+    ("t0", (True, True, True)), ("t1", (False, True, True)),
+    ("t2", (False, False, True)), ("nta", (True, False, False)),
+])
+def test_prefetch_hint_installs_into_its_levels(hint, levels):
+    h = Hierarchy(_cfg())
+    h.access(64 * 5, SimStats(), install=hint)  # cold: a DRAM fill
+    assert tuple(lvl.lookup(5) for lvl in (h.l1, h.l2, h.l3)) == levels
+
+
+def test_unknown_prefetch_hint_raises():
+    with pytest.raises(KeyError):
+        Hierarchy(_cfg()).access(0, SimStats(), install="t3")
+
+
 def test_empty_trace():
     st = run_trace([], _cfg())
     assert st.cycles == 0

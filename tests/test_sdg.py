@@ -58,6 +58,22 @@ def test_rej_jump_is_own_stage():
     assert any("jump" in op for op in s3.ops)
 
 
+@pytest.mark.parametrize("m,setup,attempt,finish", [
+    ("naive", ["S0"], [], ["S1", "S2"]),
+    ("its", ["S0"], [], ["S1", "S2", "S3", "S4"]),
+    ("alias", ["S0"], [], ["S1", "S2"]),
+    ("rej", ["S0", "S1"], ["S2", "S3"], ["S4", "S5"]),
+    ("orej", ["S0"], ["S1", "S2"], ["S3"]),
+])
+def test_split_setup_attempt_finish(m, setup, attempt, finish):
+    """The trace's per-step order: the stages before the first draw, the
+    rejection cycle holding it (none for NAIVE/ITS/ALIAS; ITS's search
+    loop stays in the finish), then the rest."""
+    parts = sdg_for(m).split()
+    assert [[st.name for st in part] for part in parts] == [setup, attempt, finish]
+    assert {st.name for st in parts[1]} <= sdg_for(m).cycle_stages()
+
+
 def test_its_binary_search_self_loop():
     g = sdg_for("its")
     assert ("S2", "S2") in {(d.src, d.dst) for d in g.deps if d.kind == CONTROL}

@@ -16,6 +16,8 @@ SEED = 44
 
 # sha256 of repr(lanes) for each case at SEED: the step-count test below
 # checks the replayed walks, these pin the stages and addresses themselves.
+# A key is (algo, sampler) for the algorithm's default app, or
+# (algo, sampler, "unbiased") for its unweighted form.
 LANE_SHA256 = {
     ("ppr", "naive"): "9925e40810be6c9e34d63b965c60772d2017344f20baadfdf06c20c75d9f48f8",
     ("deepwalk", "alias"): "bc531240226734d1c193162155453b1e858bbdc4f32b31264fd43cdae13bfd2a",
@@ -24,23 +26,45 @@ LANE_SHA256 = {
     ("deepwalk", "orej"): "c816d739044ee66f4caa9225e142107667adf5c33e41b362c5d2cb04d56aca6c",
     ("node2vec", "alias"): "bdbe7e7096b57c7ab316a61eb60568b110e37d8262fbfc74bc112129f1e4afb0",
     ("metapath", "its"): "a591c5e8a315383aeb402903a47679bf3efd6afc7dfc3f5108550338da01550c",
+    # Node2Vec: Gather with N(prev) member probes, the scratch-buffer REJ
+    # probes and O-REJ's per-attempt Weight-UDF probes.
+    ("node2vec", "its"): "f821ce10249564840584e6c73d3448e02c47485fc879012ab95efff3d3fa3ec4",
+    ("node2vec", "rej"): "c6a9d2f2ed801f842494efdd138b93f71628fad7be99ba038524ca65fd0ab439",
+    ("node2vec", "orej"): "4b632150490f5b10456c83672c91326314142f71db25e38cab8b88854c7e3f8f",
+    # MetaPath: label streams, zero-mass REJ steps (p* load, no attempt)
+    # and O-REJ give-ups after MAX_ATTEMPTS attempts.
+    ("metapath", "alias"): "97a10ac517adabaf1f25facc450c3a9eb7fa8ed411b367a2ca21c25edea350ac",
+    ("metapath", "rej"): "07f802aa0105166752c99ca1313131906e02366e0a64000974d7fb185905fbda",
+    ("metapath", "orej"): "35bb932c57e2410dee7b79c73bfe4eba1b80bf9d35098fa2fdd7725af2e329b8",
+    # Unbiased DeepWalk: Move-only lanes over the unweighted tables.
+    ("deepwalk", "naive", "unbiased"): "9915eefa2c1a830ab87382368c57045598e5d57ce8a65415acf8f978098b7dd9",
+    ("deepwalk", "its", "unbiased"): "6dafe139173411375e14ef70074661db4f3646c34908208f7cf98ba8d075a7fb",
+    ("deepwalk", "alias", "unbiased"): "5dc653d68ea6f81636c21be3b0d7877afdf7b5ee712e603b95f5936914289578",
+    ("deepwalk", "rej", "unbiased"): "5954f8a91089006380371953f1668b855e08567122b884d9bb4740cc517b7619",
+    ("deepwalk", "orej", "unbiased"): "ce89ee96a6a4ba6a31307242a98a239315bae81a92380040d9c81438046a7350",
 }
 
 
-@pytest.mark.parametrize("algo,sampler", list(LANE_SHA256))
-def test_lane_per_query_and_step_count(algo, sampler, small_graph, sources_small):
-    app = make_app(algo, csr=small_graph, length=6).with_sampler(sampler)
+def _pinned_app(key, csr):
+    algo, sampler, *kind = key
+    kw = {"weighted": False} if kind == ["unbiased"] else {}
+    return make_app(algo, csr=csr, length=6, **kw).with_sampler(sampler)
+
+
+@pytest.mark.parametrize("key", list(LANE_SHA256), ids="-".join)
+def test_lane_per_query_and_step_count(key, small_graph, sources_small):
+    app = _pinned_app(key, small_graph)
     lanes, n_steps = trace.build_rw_lanes(small_graph, app, sources_small, seed=SEED)
     assert len(lanes) == len(sources_small)
     out = run_walks(small_graph, app, sources_small, engine="sequential", seed=SEED)
     assert n_steps == out.total_steps  # trace replays the exact walks
 
 
-@pytest.mark.parametrize("algo,sampler", list(LANE_SHA256))
-def test_lanes_match_pinned_digest(algo, sampler, small_graph, sources_small):
-    app = make_app(algo, csr=small_graph, length=6).with_sampler(sampler)
+@pytest.mark.parametrize("key", list(LANE_SHA256), ids="-".join)
+def test_lanes_match_pinned_digest(key, small_graph, sources_small):
+    app = _pinned_app(key, small_graph)
     lanes, _ = trace.build_rw_lanes(small_graph, app, sources_small, seed=SEED)
-    assert hashlib.sha256(repr(lanes).encode()).hexdigest() == LANE_SHA256[(algo, sampler)]
+    assert hashlib.sha256(repr(lanes).encode()).hexdigest() == LANE_SHA256[key]
 
 
 def test_stage_tuple_shape(small_graph, sources_small):
