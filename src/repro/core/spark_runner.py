@@ -19,10 +19,19 @@ The walks DataFrame holds only walks. Each partition reports its engine
 seconds through an accumulator keyed by partition id. A job is collected
 once: :func:`collect_walks` reads the accumulator and releases the
 broadcast.
+
+Spark reuses a Python worker across tasks, and every task starts with
+``importlib.invalidate_caches()``. Before Python 3.13 that makes each
+cached ``zipimporter`` (one per imported package directory of
+``pyspark.zip``) re-read the archive's central directory, a few tenths of
+a second per task. So a walk task drops the worker's zip finders when it
+ends (:func:`_drop_zip_finders`); the next task has none to invalidate.
 """
 from __future__ import annotations
 
+import sys
 import time
+import zipimport
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -48,6 +57,20 @@ class _PartitionSeconds(AccumulatorParam):
     def addInPlace(self, acc: dict, update: dict) -> dict:
         acc.update(update)
         return acc
+
+
+def _drop_zip_finders() -> None:
+    """Remove every ``zipimporter`` from ``sys.path_importer_cache``.
+
+    ``importlib.invalidate_caches()``, which PySpark calls at the start of
+    every task in a reused worker, makes a cached ``zipimporter`` re-read its
+    archive's whole central directory (eagerly up to Python 3.12). The cache
+    may be cleared at any time: a later import from the zip rebuilds its
+    finder from zipimport's own directory cache, without reading the archive.
+    """
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[path]
 
 
 class WalkJob(NamedTuple):
@@ -87,15 +110,18 @@ def run_walks_spark(
     bc = sc.broadcast(csr)
 
     def walk_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        seconds = 0.0
-        for batch in batches:
-            t0 = time.perf_counter()
-            qids = batch["query_id"].to_numpy()
-            rows = eng.run_walks(bc.value, app, sources[qids], engine=engine, seed=seed,
-                                 qids=qids, **engine_kwargs).to_pandas()
-            seconds += time.perf_counter() - t0
-            yield rows
-        engine_s.add({TaskContext.get().partitionId(): seconds})
+        try:
+            seconds = 0.0
+            for batch in batches:
+                t0 = time.perf_counter()
+                qids = batch["query_id"].to_numpy()
+                rows = eng.run_walks(bc.value, app, sources[qids], engine=engine, seed=seed,
+                                     qids=qids, **engine_kwargs).to_pandas()
+                seconds += time.perf_counter() - t0
+                yield rows
+            engine_s.add({TaskContext.get().partitionId(): seconds})
+        finally:
+            _drop_zip_finders()
 
     return WalkJob(qdf.mapInPandas(walk_partition, schema=WALK_SCHEMA), engine_s, bc)
 

@@ -38,7 +38,6 @@ _GATHER_INSTR_PER_EDGE = 10
 _BISECT_INSTR = 12  # per N(prev) probe of Node2Vec's Weight UDF
 _INIT_INSTR = {"its": 4, "alias": 15, "rej": 2}  # per gathered element
 _SCRATCH_SLOT = 8192  # bytes of C-buffer per in-flight walker
-_COUPLED = (False, False)  # (mispredicted, cycle) of a task-ring stage
 
 
 def _scratch_base(qid: int) -> int:
@@ -105,7 +104,6 @@ def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int =
     # (ALIAS: the bucket). A dynamic probe evaluates the Weight UDF at E_v[x].
     weights = R_DST if app.walker_type is WalkerType.DYNAMIC else R_WEIGHT
     load = {
-        None: lambda x: None,
         "d_v": lambda x: R_INDPTR + 8 * cur,
         "p*_v": lambda x: R_PMAX + 8 * cur,
         "E_v[x] weight": lambda x: scratch + 8 * x if gather else weights + 8 * (s + x),
@@ -113,19 +111,34 @@ def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int =
         **dict.fromkeys(("E_v[x]", "E_v[i]", "E_v-path"), lambda x: R_DST + 8 * slot),
     }
 
-    def emit(lane: list, st, x, flags: tuple) -> None:
-        """Append SDG stage ``st`` flagged ``(mispredicted, cycle)``; ITS's
-        CDF search expands to one cycle stage per probe."""
+    def bind(st, cycle: bool):
+        """Stage ``st``'s emitter for this run, ``f(lane, x, accepted)``,
+        with its loader chosen once. A cycle (attempt) stage without a load
+        is the jump, mispredicted unless its attempt was accepted; ITS's CDF
+        search expands to one cycle stage per probe."""
+        n = st.n_instr
+        if st.mem is None:
+            return lambda lane, x, accepted: lane.append((n, None, cycle and not accepted, cycle))
         if st.mem == "cum[mid]":
             # The CDF search ends at the chosen index, which fixes its path.
-            region, base = (scratch, 0) if gather else (R_TABLE, s)
-            lane += _bisect_probes(st.n_instr, region, base, 0, d, lambda mid: mid < slot - s)
-            return
-        if st.mem == "E_v[x] weight" and n2v and not gather and prev >= 0:
+            def search(lane, x, accepted):
+                region, base = (scratch, 0) if gather else (R_TABLE, s)
+                lane += _bisect_probes(n, region, base, 0, d, lambda mid: mid < slot - s)
+            return search
+        addr = load[st.mem]
+        if st.mem == "E_v[x] weight" and n2v and not gather:
             # O-REJ's probe is one Weight-UDF evaluation: Node2Vec
             # binary-searches N(prev) for the candidate.
-            lane += member_probes(prev, int(dst[s + x]))
-        lane.append((st.n_instr, load[st.mem](x), *flags))
+            def probe(lane, x, accepted):
+                if prev >= 0:
+                    lane += member_probes(prev, int(dst[s + x]))
+                lane.append((n, addr(x), False, cycle))
+            return probe
+        return lambda lane, x, accepted: lane.append((n, addr(x), False, cycle))
+
+    load_dv, *setup_rest = [bind(st, False) for st in setup]
+    attempt = [bind(st, True) for st in attempt]
+    finish = [bind(st, False) for st in finish]
 
     sources = np.asarray(sources, dtype=np.int64)
     for w in walkers(np.arange(len(sources)), sources):
@@ -139,7 +152,7 @@ def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int =
                 break
             probed: list = []
             slot = step(w, probed)
-            emit(lane, setup[0], None, _COUPLED)
+            load_dv(lane, None, False)
             if gather:
                 # Gather: stream E_cur (+ Node2Vec's member-probes in N(prev)).
                 lane += _stream_lines(R_DST, s, e, 8, _GATHER_INSTR_PER_EDGE)
@@ -151,17 +164,18 @@ def rw_lanes(csr: CSRGraph, app: RandomWalkApp, sources: np.ndarray, seed: int =
                 # Init phase: pass over the gathered weights in the
                 # walker's own (cache-hot) scratch buffer.
                 lane += _stream_lines(scratch, 0, d, 8, init_instr)
-            for st in setup[1:]:
-                emit(lane, st, None, _COUPLED)
+            for f in setup_rest:
+                f(lane, None, False)
+            last = len(probed) - 1
             for a, x in enumerate(probed):
-                accepted = slot >= 0 and a == len(probed) - 1
-                for st in attempt:
-                    emit(lane, st, x, (st.mem is None and not accepted, True))
+                accepted = slot >= 0 and a == last
+                for f in attempt:
+                    f(lane, x, accepted)
             if slot < 0:
                 break
             x = probed[-1] if probed else None  # accepted candidate or ALIAS's bucket
-            for st in finish:
-                emit(lane, st, x, _COUPLED)
+            for f in finish:
+                f(lane, x, False)
         yield lane, w.path
 
 

@@ -6,10 +6,13 @@ MetaPath schema length 5. BL is serial; the other systems run one Spark
 task per core. GW runs PPR only; KK cannot run MetaPath. Static RW cells
 include the Algorithm 3 preprocessing time, as in the paper's metric.
 
-Reported time is the parallel makespan (max per-partition engine time,
-plus driver preprocessing) — the analogue of the paper's wall seconds
-without Spark's fixed job-submission overhead, which a 10-core C++
-runtime does not have. Query counts are scaled ~1/1000 with the graphs.
+Reported time (``seconds``) is the parallel makespan (max per-partition
+engine time, plus driver preprocessing) — the analogue of the paper's wall
+seconds without Spark's fixed job-submission overhead, which a 10-core C++
+runtime does not have. ``wall_s`` times the collect alone; ``e2e_s`` is the
+driver's wall time from Algorithm 3 until the walks are on the driver, what
+a user of the cell waits for. Query counts are scaled ~1/1000 with the
+graphs.
 """
 from __future__ import annotations
 
@@ -130,8 +133,10 @@ def compute(
                     continue
                 sys_app = spec.app_for(app)
                 g.aux.clear()
+                t0 = time.perf_counter()
                 pre = _preprocess_time(g, sys_app)
                 walks, meta = run_system_spark(spark, system, g, app, srcs, seed=seed)
+                e2e = time.perf_counter() - t0
                 rows.append(
                     {
                         "dataset": ds,
@@ -141,6 +146,7 @@ def compute(
                         "engine_s": round(meta["engine_time_s"], 4),
                         "preprocess_s": round(pre, 4),
                         "wall_s": round(meta["wall_s"], 3),
+                        "e2e_s": round(e2e, 3),
                         "steps": meta["total_steps"],
                         "paper_s": PAPER[algo][ds].get(system),
                     }

@@ -1,4 +1,9 @@
 """Spark parallelization: mapInPandas walks over a broadcast CSR."""
+import importlib
+import sys
+import zipfile
+import zipimport
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
@@ -6,6 +11,7 @@ from pyspark.sql import functions as F
 from repro.algos import make_app
 from repro.core.engine import run_walks
 from repro.core.spark_runner import (
+    _drop_zip_finders,
     collect_walks,
     queries_df,
     run_system_spark,
@@ -123,3 +129,34 @@ def test_ppr_end_distribution_oracle(spark, graph, sources):
     )
     total = scores.agg(F.sum("score").alias("s")).toPandas()["s"][0]
     assert total == pytest.approx(1.0)
+
+
+def test_drop_zip_finders_keeps_zip_imports_working(tmp_path):
+    """No zip finder survives the drop, so ``invalidate_caches`` re-reads no
+    archive, and a module not yet imported from the zip still imports from
+    zipimport's directory cache."""
+    archive = str(tmp_path / "pkgs.zip")
+    with zipfile.ZipFile(archive, "w") as z:
+        z.writestr("zpkg/__init__.py", "")
+        z.writestr("zpkg/first.py", "X = 1\n")
+        z.writestr("zpkg/second.py", "Y = 2\n")
+    saved_path, saved_cache = list(sys.path), dict(sys.path_importer_cache)
+    sys.path.insert(0, archive)
+    zip_finders = lambda: [f for f in sys.path_importer_cache.values()  # noqa: E731
+                           if isinstance(f, zipimport.zipimporter)]
+    try:
+        assert importlib.import_module("zpkg.first").X == 1
+        assert zip_finders()
+        files = zipimport._zip_directory_cache[archive]
+        _drop_zip_finders()
+        assert zip_finders() == []
+        importlib.invalidate_caches()
+        assert zipimport._zip_directory_cache[archive] is files
+        assert importlib.import_module("zpkg.second").Y == 2
+        assert zipimport._zip_directory_cache[archive] is files
+    finally:
+        sys.path[:] = saved_path
+        sys.path_importer_cache.clear()
+        sys.path_importer_cache.update(saved_cache)
+        for name in [m for m in sys.modules if m == "zpkg" or m.startswith("zpkg.")]:
+            del sys.modules[name]

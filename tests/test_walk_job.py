@@ -3,6 +3,7 @@ batches, engine time by partition, and a broadcast released on collect."""
 import os
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.algos import make_app
@@ -85,6 +86,29 @@ def test_walks_independent_of_arrow_batch_size(spark, graph, sources, engine):
     assert _sorted(small).equals(_sorted(walks))
     assert small_meta["n_partitions"] == meta["n_partitions"] == 4
     assert small_meta["total_steps"] == meta["total_steps"]
+
+
+def test_python_workers_reused_across_walk_jobs(spark, graph, sources):
+    """Python workers outlive a job: after each of two consecutive walk
+    jobs, the workers that ran its walk tasks serve the next job, and the
+    two jobs' workers overlap. ``spark_runner._drop_zip_finders`` relies
+    on it, since a task's finder drop only helps the worker's next task."""
+
+    def worker(batches):
+        import sys
+        for _ in batches:
+            pass
+        yield pd.DataFrame({"pid": [os.getpid()],
+                            "walked": ["repro.core.spark_runner" in sys.modules]})
+
+    app = make_app("deepwalk", length=5)
+    seen = []
+    for _ in range(2):
+        collect_walks(run_walks_spark(spark, graph, app, sources, seed=SEED, n_partitions=4))
+        w = queries_df(spark, sources, 4).mapInPandas(worker, "pid LONG, walked BOOLEAN").toPandas()
+        assert w["walked"].any(), w
+        seen.append(set(w.loc[w["walked"], "pid"]))
+    assert seen[0] & seen[1], seen
 
 
 def test_partition_seconds_last_write_wins():
