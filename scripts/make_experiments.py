@@ -12,18 +12,8 @@ import pathlib
 
 import pandas as pd
 
-from repro.tables import (
-    table01,
-    table02,
-    table03,
-    table05,
-    table06,
-    table09,
-    table10,
-    table07_08,
-    table11_12,
-    table13,
-)
+from repro.tables import table06
+from repro.tables.registry import TABLES
 
 RES = pathlib.Path(__file__).resolve().parent.parent / "bench_results"
 
@@ -58,18 +48,9 @@ def emit(title: str, measured: pd.DataFrame | None, paper: pd.DataFrame | None) 
         print(md(paper))
 
 
-def main() -> None:
-    emit("Table 1 — pipeline-slot breakdown", load("table01"), table01.PAPER)
-    emit("Table 2 — per-step time breakdown", load("table02"), table02.PAPER)
-    emit("Table 3 — per-step complexity (empirical)", load("table03"), table03.PAPER)
-    emit("Table 5 — dataset properties", load("table05"), table05.PAPER)
-    t6 = load("table06")
-    emit(
-        "Table 6 — overall comparison (seconds)",
-        None if t6 is None else t6[["dataset", "algo", "system", "seconds",
-                                    "e2e_s", "paper_s", "steps"]],
-        None,
-    )
+def emit_table06(title: str, t6: pd.DataFrame | None) -> None:
+    emit(title, None if t6 is None else t6[["dataset", "algo", "system", "seconds",
+                                            "e2e_s", "paper_s", "steps"]], None)
     sp = load("table06_speedups")
     if sp is not None:
         print("\n**Slowdown vs TRW (measured)**\n")
@@ -80,13 +61,14 @@ def main() -> None:
         e2e = table06.speedups(t6.assign(seconds=t6["e2e_s"]))
         print(md(e2e.pivot_table(index=["dataset", "algo"], columns="system",
                                  values="x_slower_than_TRW").reset_index()))
-    emit("Table 7 — vary walk length (wo/si)", load("table07"), table07_08.PAPER_T7)
-    emit("Table 8 — vary #queries (wo/si)", load("table08"), table07_08.PAPER_T8)
-    emit("Table 9 — ring-size tuning time", load("table09"), table09.PAPER)
-    emit("Table 10 — prefetch cache level", load("table10"), table10.PAPER)
-    emit("Table 11 — vary walk length (w/si)", load("table11"), table11_12.PAPER_T11)
-    emit("Table 12 — vary #queries (w/si)", load("table12"), table11_12.PAPER_T12)
-    emit("Table 13 — switch mechanisms", load("table13"), table13.PAPER)
+
+
+def main() -> None:
+    for t in TABLES:
+        if t.stem == "table06":
+            emit_table06(t.title, load(t.stem))
+        else:
+            emit(t.title, load(t.stem), t.paper)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from repro.algos import deepwalk
 from repro.core.engine import MAX_RING_SIZE, run_walks
 from repro.core.sdg import sdg_for
 from repro.graph.csr import CSRGraph
-from repro.sampling import METHODS, SAMPLERS
+from repro.sampling import METHODS
 
 
 @dataclass
@@ -34,8 +34,7 @@ class TuningResult:
 
 
 def _walk_time(csr: CSRGraph, sampler: str, sources: np.ndarray, k: int, length: int) -> float:
-    weighted = not SAMPLERS[sampler].unbiased_only
-    app = deepwalk.make_app(length=length, weighted=weighted).with_sampler(sampler)
+    app = deepwalk.for_method(sampler, length)
     t0 = time.perf_counter()
     run_walks(csr, app, sources, engine="interleaved", seed=1, ring_size=k)
     return time.perf_counter() - t0

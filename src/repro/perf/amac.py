@@ -17,7 +17,7 @@ the same lanes:
 """
 from __future__ import annotations
 
-from repro.perf.memsim import SimConfig, SimStats, run_trace
+from repro.perf.memsim import SIM_RING_SIZE, SimConfig, SimStats, run_trace
 
 NONCYCLE_OVH = 2      # instr: bump ring cursor
 CYCLE_OVH = 14        # instr: save/restore explicit stage state
@@ -38,7 +38,7 @@ def compare_mechanisms(
     lanes: list,
     n_steps: int,
     cfg: SimConfig | None = None,
-    window: int = 64,
+    window: int = SIM_RING_SIZE,
 ) -> dict[str, SimStats]:
     """Run the three switch mechanisms over identical lanes (Table 13)."""
     cfg = cfg or SimConfig()

@@ -28,6 +28,14 @@ from dataclasses import dataclass, field
 
 LINE = 64
 
+SIM_RING_SIZE = 64
+"""The ``window`` of the simulated w/si runs (Tables 10-13): the paper's
+ring size, which balances MSHR count and L1 capacity on its C++ test bed
+(EXPERIMENTS deviation 3). It is not ``engine.MAX_RING_SIZE`` (1024):
+that bound is where the Python engine's measured optimum lands, because
+larger rings keep amortizing interpreter overhead, which the simulator
+does not model."""
+
 
 @dataclass
 class SimConfig:

@@ -31,14 +31,12 @@ PAPER = pd.DataFrame(
 
 
 def compute(
-    dataset: str = "lj",
     scale: float = 1.0,
     n_queries: int = 500,
     n2v_queries: int = 60,
     walk_len: int = common.WALK_LEN,
-    seed: int = 3,
 ) -> pd.DataFrame:
-    g = common.dataset(dataset, scale)
+    g = common.dataset("lj", scale)
     cfg = memsim.SimConfig()
     rows = []
 
@@ -65,7 +63,7 @@ def compute(
     ]
     for name, app, nq, single in workloads:
         srcs = common.sources_for(g, nq, seed=7, single_source=single)
-        lanes, n = trace.build_rw_lanes(g, app, srcs, seed=seed)
+        lanes, n = trace.build_rw_lanes(g, app, srcs, seed=common.SEED)
         b = tmam.breakdown(memsim.run_trace(lanes, cfg, window=1, n_steps=n), cfg)
         rows.append({"method": name, **b.as_row()})
     return pd.DataFrame(rows)

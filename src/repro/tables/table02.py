@@ -29,13 +29,11 @@ PAPER = pd.DataFrame(
 
 
 def compute(
-    dataset: str = "lj",
     scale: float = 1.0,
     n_queries: int = 200,
     walk_len: int = 40,
-    seed: int = 3,
 ) -> pd.DataFrame:
-    g = common.dataset(dataset, scale)
+    g = common.dataset("lj", scale)
     rows = []
     workloads = [
         ("PPR", make_app("ppr", stop_prob=common.PPR_STOP), n_queries * 4),
@@ -50,7 +48,7 @@ def compute(
     for name, app, nq in workloads:
         srcs = common.sources_for(g, nq, seed=7)
         timers: dict = {}
-        run_walks(g, app, srcs, engine="sequential", seed=seed, timers=timers)
+        run_walks(g, app, srcs, engine="sequential", seed=common.SEED, timers=timers)
         w = timers.get("weight", 0.0)
         i = timers.get("init", 0.0)
         ge = timers.get("gen", 0.0)

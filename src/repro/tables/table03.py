@@ -35,38 +35,37 @@ PAPER = pd.DataFrame(
 _SAMPLERS = {kind: [m for m, rec in SAMPLERS.items() if kind == "unbiased" or not rec.unbiased_only]
              for kind in ("unbiased", "static", "dynamic")}
 
+N_QUERIES = 2000
+WALK_LEN = 20
 
-def _ns_per_step(csr, app, srcs, seed=3) -> float:
+
+def _ns_per_step(csr, app, srcs) -> float:
     t0 = time.perf_counter()
-    out = run_walks(csr, app, srcs, engine="interleaved", seed=seed, ring_size=256)
+    out = run_walks(csr, app, srcs, engine="interleaved", seed=common.SEED, ring_size=256)
     dt = time.perf_counter() - t0
     return dt / max(1, out.total_steps) * 1e9
 
 
-def compute(
-    n_queries: int = 2000,
-    walk_len: int = 20,
-    seed: int = 3,
-) -> pd.DataFrame:
+def compute() -> pd.DataFrame:
     graphs = {
         "low_deg": gen.erdos_renyi(4000, 12_000, seed=5, name="low"),   # d≈6
         "high_deg": gen.erdos_renyi(2000, 60_000, seed=5, name="high"),  # d≈60
     }
     rows = []
     for gname, g in graphs.items():
-        srcs = common.sources_for(g, n_queries, seed=7)
+        srcs = common.sources_for(g, N_QUERIES, seed=7)
         for rw_type, samplers in _SAMPLERS.items():
             for m in samplers:
                 if rw_type == "dynamic":
-                    app = node2vec.make_app(length=walk_len).with_sampler(m)
+                    app = node2vec.make_app(length=WALK_LEN).with_sampler(m)
                 else:
                     app = deepwalk.make_app(
-                        length=walk_len, weighted=(rw_type == "static")
+                        length=WALK_LEN, weighted=(rw_type == "static")
                     ).with_sampler(m)
                 rows.append(
                     {"graph": gname, "rw_type": rw_type, "method": m,
                      "d_avg": round(g.avg_degree, 1),
-                     "ns_per_step": round(_ns_per_step(g, app, srcs, seed), 1)}
+                     "ns_per_step": round(_ns_per_step(g, app, srcs), 1)}
                 )
     return pd.DataFrame(rows)
 

@@ -12,10 +12,10 @@ PAPER = pd.DataFrame(
 )
 
 
-def compute(scale: float = 1.0, seed: int = 42, names: list | None = None) -> pd.DataFrame:
+def compute(scale: float = 1.0) -> pd.DataFrame:
     rows = []
-    for name in names or list(gen.SUITE):
-        g = gen.make_dataset(name, scale=scale, seed=seed)
+    for name in gen.SUITE:
+        g = gen.make_dataset(name, scale=scale)
         spec = gen.SUITE[name]
         rows.append(
             {

@@ -109,33 +109,28 @@ def compute(
     datasets: list | None = None,
     scale: float = 1.0,
     n_queries: dict | None = None,
-    walk_len: int = common.WALK_LEN,
-    systems: list | None = None,
-    seed: int = 3,
 ) -> pd.DataFrame:
     datasets = datasets or DEFAULT_DATASETS
     n_queries = n_queries or DEFAULT_QUERIES
-    systems = systems or list(SYSTEMS)
     rows = []
     for ds in datasets:
         g = common.dataset(ds, scale)
         for algo in ("ppr", "deepwalk", "node2vec", "metapath"):
             nq = n_queries[algo]
             app = make_app(
-                algo, csr=g, length=walk_len,
+                algo, csr=g, length=common.WALK_LEN,
                 stop_prob=common.PPR_STOP, a=common.N2V_A, b=common.N2V_B,
                 schema_len=common.SCHEMA_LEN,
             )
             srcs = common.sources_for(g, nq, seed=7, single_source=(algo == "ppr"))
-            for system in systems:
-                spec = SYSTEMS[system]
+            for system, spec in SYSTEMS.items():
                 if algo not in spec.supports:
                     continue
                 sys_app = spec.app_for(app)
                 g.aux.clear()
                 t0 = time.perf_counter()
                 pre = _preprocess_time(g, sys_app)
-                walks, meta = run_system_spark(spark, system, g, app, srcs, seed=seed)
+                walks, meta = run_system_spark(spark, system, g, app, srcs, seed=common.SEED)
                 e2e = time.perf_counter() - t0
                 rows.append(
                     {

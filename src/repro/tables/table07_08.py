@@ -46,10 +46,10 @@ LENGTHS = (5, 10, 20, 40, 80, 160)
 QUERY_COUNTS = (8, 32, 128, 512, 1024, 2048)
 
 
-def _row(g, n_queries, length, seed, window):
+def _row(g, n_queries, length, window):
     app = make_app("deepwalk", length=length)  # static ALIAS micro-benchmark
     srcs = common.sources_for(g, n_queries, seed=7)
-    lanes, n = trace.build_rw_lanes(g, app, srcs, seed=seed)
+    lanes, n = trace.build_rw_lanes(g, app, srcs, seed=common.SEED)
     cfg = memsim.SimConfig()
     return tmam.breakdown(
         memsim.run_trace(lanes, cfg, window=window, n_steps=n), cfg
@@ -57,21 +57,18 @@ def _row(g, n_queries, length, seed, window):
 
 
 def compute_t7(
-    dataset: str = "lj", scale: float = 1.0, n_queries: int = 512,
-    lengths: tuple = LENGTHS, seed: int = 3, window: int = 1,
+    scale: float = 1.0, n_queries: int = 512, lengths: tuple = LENGTHS, window: int = 1,
 ) -> pd.DataFrame:
-    g = common.dataset(dataset, scale)
+    g = common.dataset("lj", scale)
     return pd.DataFrame(
-        [{"length": L, **_row(g, n_queries, L, seed, window)} for L in lengths]
+        [{"length": L, **_row(g, n_queries, L, window)} for L in lengths]
     )
 
 
 def compute_t8(
-    dataset: str = "lj", scale: float = 1.0, walk_len: int = 80,
-    query_counts: tuple = QUERY_COUNTS, seed: int = 3, window: int = 1,
+    scale: float = 1.0, walk_len: int = 80, query_counts: tuple = QUERY_COUNTS, window: int = 1,
 ) -> pd.DataFrame:
-    g = common.dataset(dataset, scale)
+    g = common.dataset("lj", scale)
     return pd.DataFrame(
-        [{"n_queries": nq, **_row(g, nq, walk_len, seed, window)}
-         for nq in query_counts]
+        [{"n_queries": nq, **_row(g, nq, walk_len, window)} for nq in query_counts]
     )

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.algos import make_app
+from repro.algos import deepwalk
 from repro.perf import memsim, trace
-from repro.sampling import METHODS, SAMPLERS
+from repro.sampling import METHODS
 from repro.tables import common
 
 PAPER = pd.DataFrame(
@@ -30,21 +30,18 @@ _HINTS = {"l1": "t0", "l2": "t1", "l3": "t2", "non_temporal": "nta"}
 
 
 def compute(
-    dataset: str = "lj",
     scale: float = 1.0,
     n_queries: int = 400,
     walk_len: int = 40,
-    window: int = 64,
-    seed: int = 3,
+    window: int = memsim.SIM_RING_SIZE,
 ) -> pd.DataFrame:
-    g = common.dataset(dataset, scale)
+    g = common.dataset("lj", scale)
     srcs = common.sources_for(g, n_queries, seed=7)
     cfg = memsim.SimConfig()
     rows = []
     for m in METHODS:
-        app = make_app("deepwalk", length=walk_len,
-                       weighted=not SAMPLERS[m].unbiased_only).with_sampler(m)
-        lanes, n = trace.build_rw_lanes(g, app, srcs, seed=seed)
+        app = deepwalk.for_method(m, walk_len)
+        lanes, n = trace.build_rw_lanes(g, app, srcs, seed=common.SEED)
         cycles = {
             col: memsim.run_trace(lanes, cfg, window=window, n_steps=n,
                                   prefetch_level=hint).cycles

@@ -1,13 +1,15 @@
 """Tables 11 & 12 — Tables 7/8 with step interleaving ON (Appendix C.3).
 
 Same ALIAS micro-benchmark, now run through the interleaved executor
-(window = ring size 64). The paper's finding: memory bound collapses
-(65% → ~8%), retiring quadruples, bandwidth utilization rises ~6x.
+(window = the paper's ring size, ``memsim.SIM_RING_SIZE``). The paper's
+finding: memory bound collapses (65% → ~8%), retiring quadruples,
+bandwidth utilization rises ~6x.
 """
 from __future__ import annotations
 
 import pandas as pd
 
+from repro.perf.memsim import SIM_RING_SIZE
 from repro.tables import table07_08
 
 PAPER_T11 = pd.DataFrame(
@@ -38,9 +40,9 @@ PAPER_T12 = pd.DataFrame(
 )
 
 
-def compute_t11(ring_size: int = 64, **kw) -> pd.DataFrame:
+def compute_t11(ring_size: int = SIM_RING_SIZE, **kw) -> pd.DataFrame:
     return table07_08.compute_t7(window=ring_size, **kw)
 
 
-def compute_t12(ring_size: int = 64, **kw) -> pd.DataFrame:
-    return table07_08.compute_t8(window=ring_size, **kw)
+def compute_t12(**kw) -> pd.DataFrame:
+    return table07_08.compute_t8(window=SIM_RING_SIZE, **kw)

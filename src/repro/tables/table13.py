@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.algos import make_app
+from repro.algos import deepwalk
 from repro.perf import amac, memsim, trace
-from repro.sampling import METHODS, SAMPLERS
+from repro.sampling import METHODS
 from repro.tables import common
 
 PAPER = pd.DataFrame(
@@ -29,21 +29,18 @@ PAPER = pd.DataFrame(
 
 
 def compute(
-    dataset: str = "lj",
     scale: float = 1.0,
     n_queries: int = 400,
     walk_len: int = 40,
-    ring_size: int = 64,
-    seed: int = 3,
+    ring_size: int = memsim.SIM_RING_SIZE,
 ) -> pd.DataFrame:
-    g = common.dataset(dataset, scale)
+    g = common.dataset("lj", scale)
     srcs = common.sources_for(g, n_queries, seed=7)
     cfg = memsim.SimConfig()
     rows = []
     for m in METHODS:
-        app = make_app("deepwalk", length=walk_len,
-                       weighted=not SAMPLERS[m].unbiased_only).with_sampler(m)
-        lanes, n = trace.build_rw_lanes(g, app, srcs, seed=seed)
+        app = deepwalk.for_method(m, walk_len)
+        lanes, n = trace.build_rw_lanes(g, app, srcs, seed=common.SEED)
         res = amac.compare_mechanisms(lanes, n, cfg, window=ring_size)
         rows.append(
             {

@@ -74,6 +74,20 @@ def test_table06_speedups_shape():
     assert float(sp[sp.system == "BL"]["x_slower_than_TRW"].iloc[0]) == 10.0
 
 
+def test_table06_compute_small(spark):
+    df = table06.compute(spark, datasets=["am"], scale=0.1,
+                         n_queries={"ppr": 8, "deepwalk": 6, "node2vec": 4, "metapath": 6})
+    # GW runs PPR only; KK cannot run MetaPath.
+    assert len(df) == 16
+    assert set(df.loc[df.system == "GW", "algo"]) == {"ppr"}
+    assert "metapath" not in set(df.loc[df.system == "KK", "algo"])
+    assert {"seconds", "engine_s", "preprocess_s", "wall_s", "e2e_s", "steps"} <= set(df.columns)
+    # HG and TRW run the same samplers, so their walks are bitwise equal.
+    steps = df.pivot_table(index="algo", columns="system", values="steps")
+    assert (steps["HG"] == steps["TRW"]).all()
+    assert (df.loc[df.algo.isin(["node2vec", "metapath"]), "preprocess_s"] == 0).all()
+
+
 def test_table07_08_rows():
     t7 = table07_08.compute_t7(scale=0.15, n_queries=40, lengths=(5, 10))
     assert list(t7["length"]) == [5, 10]
