@@ -37,10 +37,11 @@ import numpy as np
 
 from repro.core import rng
 from repro.core.model import RandomWalkApp, WalkerType
+from repro.core.sdg import sdg_for
 from repro.core.walker import Walker, WalkOutput, _OutBuffer
 from repro.graph.csr import CSRGraph
 from repro.sampling import gathers, sampler_for
-from repro.sampling.base import flatten_segments
+from repro.sampling.base import MAX_ATTEMPTS, PENDING, flatten_segments
 
 MAX_RING_SIZE = 1024
 """Bound of the §5.4 ring-size sweep (Table 9). The tuner returns it on
@@ -175,10 +176,18 @@ def run_interleaved(
 ) -> WalkOutput:
     """Algorithm 4: GMU over a ring of ≤ ``ring_size`` in-flight walkers.
 
-    Each loop iteration moves every walker in the ring by one step with
-    vectorized Gather/Move/Update; completed walkers are replaced from the
-    pending queue, so the ring stays full (no BSP tail problem). The ring
-    is one record of arrays, refilled from ``fresh``: each query at its source.
+    Each loop iteration runs one Move stage for every walker in the ring
+    with vectorized Gather/Move/Update; completed walkers are replaced from
+    the queries not yet started, so the ring stays full (no BSP tail
+    problem). The ring is one record of arrays, refilled from ``fresh``:
+    each query at its source, at rejection attempt 0.
+
+    A REJ/O-REJ attempt is a cycle stage (§5.3): each iteration makes one
+    attempt per walker, at the walker's own index ``att``. A walker whose
+    attempt missed (``PENDING``) keeps its slot and its state for its next
+    attempt in the next iteration, while the walkers that moved hash their
+    new key, flip their coin and reset ``att`` to 0; so the ring never waits
+    for its slowest walker. ``meta["attempts"]`` counts the attempts made.
     """
     n = len(sources)
     out = _OutBuffer()
@@ -190,6 +199,7 @@ def run_interleaved(
     sampler = sampler_for(app)
     run_tab = sampler.tables(csr, app)
     gather = gathers(app)
+    rejects = bool(sdg_for(app.sampler).split()[1])  # the Move's draw is on a cycle
     max_len = app.max_length
     clock = time.perf_counter if timers is not None else None
 
@@ -197,11 +207,12 @@ def run_interleaved(
     fresh = {
         "qid": qids, "cur": sources, "prev": np.full(n, -1, dtype=np.int64),
         "len": np.zeros(n, dtype=np.int64), "key": rng.key(seed, qids, 0),
+        "att": np.zeros(n, dtype=np.int64),
     }
     # Copies: Update writes in place, and a slice is a view of ``fresh``.
     r = {f: a[:k].copy() for f, a in fresh.items()}
     submitted = len(r["qid"])
-    iters = 0
+    iters = attempts = 0
 
     def probe(flat_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The Weight UDF at CSR edges for the walkers in ring ``rows``."""
@@ -225,24 +236,34 @@ def run_interleaved(
             tab, seg_starts, rows = sampler.init(w, counts), np.cumsum(counts) - counts, slice(None)
             if clock:
                 t0 = _tick(timers, "init", t0)
-        local = sampler.generate_batch(tab, seg_starts, counts, rows, r["key"], probe)
+        local = sampler.generate_batch(tab, seg_starts, counts, rows, r["key"], probe, r["att"])
         if clock:
             _tick(timers, "gen", t0)
 
         # -- Update: record moves; below the length limit, hash each moved
-        # walker's key at its new length and flip its coin; refill the ring. --
+        # walker's key at its new length and flip its coin; pending walkers
+        # stay for their next attempt; refill the ring. --
         t0 = clock() if clock else 0.0
         moved = local >= 0
         nxt = dst[starts[moved] + local[moved]]
-        new_len = r["len"] + 1
-        out.add(r["qid"][moved], new_len[moved].astype(np.int32), nxt)
-        live = moved & (new_len < max_len)
-        keys = rng.key(seed, r["qid"][live], new_len[live])
+        r["len"] = r["len"] + moved
+        out.add(r["qid"][moved], r["len"][moved].astype(np.int32), nxt)
+        live = moved & (r["len"] < max_len)
+        keys = rng.key(seed, r["qid"][live], r["len"][live])
         r["key"][live] = keys
         live[live] = ~app.stop_mask(keys)
+        if rejects:
+            pending = local == PENDING
+            # Every walker that moved or is pending made an attempt, and so
+            # did a -1 at its last attempt (a give-up), which takes at least
+            # MAX_ATTEMPTS iterations to reach.
+            attempts += len(nxt) + np.count_nonzero(pending)
+            if iters >= MAX_ATTEMPTS:
+                attempts += np.count_nonzero(local[r["att"] == MAX_ATTEMPTS - 1] == -1)
+            r["att"] = (r["att"] + 1) * pending
+            live |= pending
         r["prev"] = np.where(moved, vs, r["prev"])
         r["cur"][moved] = nxt
-        r["len"] = new_len
 
         if not live.all():
             new = slice(submitted, min(n, submitted + int((~live).sum())))
@@ -250,7 +271,8 @@ def run_interleaved(
             r = {f: np.concatenate([a[live], fresh[f][new]]) for f, a in r.items()}
         if clock:
             _tick(timers, "update", t0)
-    return out.finish(timers=timers, meta={"ring_iterations": iters, "ring_size": k})
+    return out.finish(timers=timers, meta={"ring_iterations": iters, "ring_size": k,
+                                           "attempts": attempts})
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ The paper pre-executes short static walks (one per vertex, target length
 sampling methods whose SDG has no cycle stage, then fixes k* and sweeps
 the search ring size k' for the cycle-stage methods.
 
-In this substrate the ring engine vectorizes cycle stages over the same
-ring as non-cycle stages, so the search ring coincides with the task ring;
-we keep the two-pass protocol (the methods without cycle stages pick k*,
-then the rest are swept up to k*) and report per-method optima plus the
-tuning wall time — the quantity Table 9 records.
+In this substrate the ring engine keeps one ring of walkers. A walker
+inside REJ/O-REJ's attempt cycle keeps its slot across ring iterations,
+one attempt per iteration, while the others move on — the search ring's
+behaviour in Algorithm 4 — so k' is the size of the ring that REJ/O-REJ
+run in. ITS's binary search still finishes inside one iteration,
+vectorized over the ring. We keep the two-pass protocol (the methods
+without cycle stages pick k*, then the rest are swept up to k*) and report
+per-method optima plus the tuning wall time — the quantity Table 9 records.
 """
 from __future__ import annotations
 

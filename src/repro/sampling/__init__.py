@@ -44,16 +44,24 @@ class Sampler:
       ``pstar`` per row and ``weights`` per edge, read by one attempt loop
       (:mod:`repro.sampling.orej`), which both records generate with.
     * ``generate_scalar(tab, s, d, row, key, probe, probed)`` and
-      ``generate_batch(tab, starts, counts, rows, keys, probe)`` — the
-      local edge index per walker (-1: no move). A walker's candidates are
-      ``[s, s + d)`` of the per-edge arrays in ``tab``, and its p* or total
-      is at ``row`` of the per-row ones. ``key``/``keys`` are the
+      ``generate_batch(tab, starts, counts, rows, keys, probe, attempt)`` —
+      the local edge index per walker (-1: no move). A walker's candidates
+      are ``[s, s + d)`` of the per-edge arrays in ``tab``, and its p* or
+      total is at ``row`` of the per-row ones. ``key``/``keys`` are the
       walkers' step keys at their current length; every draw finishes one
       (draw 0 for NAIVE/ITS, 0 and 1 for ALIAS, 2a and 2a+1 for
       rejection attempt a). ``probe(flat_idx, rows)`` is the engine's
       Weight UDF at CSR edges, which O-REJ on dynamic RW probes, or None;
       ``probed`` collects the candidates the scalar form probed (bucket
       for ALIAS, one per attempt for REJ/O-REJ), or is None.
+    * The rejection attempt is a cycle stage (§5.2–5.3). The scalar form
+      makes all of a walker's attempts in one call. The batch form of
+      REJ/O-REJ makes one attempt per walker, at the walker's attempt
+      index ``attempt`` (0 when it starts a step), and returns
+      ``base.PENDING`` for a walker whose attempt missed with attempts
+      left; the engine keeps that walker's state and calls again with its
+      index plus one. The methods without a rejection cycle finish every
+      walker in one call and ignore ``attempt``.
     """
 
     name: str

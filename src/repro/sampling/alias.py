@@ -76,7 +76,7 @@ def generate_scalar(tab, s, d, row, key, probe, probed) -> int:
     return int(a1[slot] if y < tab["prob"][slot] else tab["a2"][slot])
 
 
-def generate_batch(tab, starts, counts, rows, keys, probe) -> np.ndarray:
+def generate_batch(tab, starts, counts, rows, keys, probe, attempt) -> np.ndarray:
     """Vectorized generation over a ring: the bucket draw and the coin
     finish each walker's step key."""
     x = rng.randint(keys, 0, counts)

@@ -15,6 +15,11 @@ MAX_ATTEMPTS = 512
 through): attempt a uses draws (2a, 2a+1), which stay below the
 termination coin's ``model.TERM_DRAW``."""
 
+PENDING = -2
+"""Batch generation's code for a walker whose rejection attempt missed with
+attempts left: it stays in the ring and makes its next attempt in the next
+ring iteration (-1 is a walker that cannot move)."""
+
 
 def flatten_segments(starts: np.ndarray, counts: np.ndarray):
     """Flatten the edge segments ``[starts[i], starts[i] + counts[i])``.

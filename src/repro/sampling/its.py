@@ -36,7 +36,7 @@ def generate_scalar(tab, s, d, row, key, probe, probed) -> int:
     return min(i, d - 1)
 
 
-def generate_batch(tab, starts, counts, rows, keys, probe) -> np.ndarray:
+def generate_batch(tab, starts, counts, rows, keys, probe, attempt) -> np.ndarray:
     """Vectorized generation over a ring: one binary search per walker
     over its CDF segment. Returns local indices; -1 for zero-mass segments."""
     totals = tab["totals"][rows]

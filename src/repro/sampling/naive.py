@@ -15,6 +15,6 @@ def generate_scalar(tab, s, d, row, key, probe, probed) -> int:
     return rng.randint_scalar(key, 0, d) if d else -1
 
 
-def generate_batch(tab, starts, counts, rows, keys, probe) -> np.ndarray:
+def generate_batch(tab, starts, counts, rows, keys, probe, attempt) -> np.ndarray:
     """Vectorized generation for a ring of walkers (-1 on an empty segment)."""
     return np.where(counts > 0, rng.randint(keys, 0, counts), -1)

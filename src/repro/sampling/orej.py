@@ -16,8 +16,14 @@ engine's Weight UDF. Attempt a finishes the walker's step key with draws
 (2a, 2a+1); a walker that misses ``base.MAX_ATTEMPTS`` times (zero-mass or
 adversarial distributions) is treated as dead (-1). A probed weight above
 p* would silently clip that edge's probability, so both forms raise
-``ValueError`` instead. Both use the same draws and cap, so engines stay
-bitwise-equal.
+``ValueError`` instead.
+
+The scalar form loops over one walker's attempts. The batch form is the
+attempt as a cycle stage of the ring (§5.3, Algorithm 4): one attempt per
+walker per ring iteration, at the walker's own attempt index, and a walker
+that misses comes back ``base.PENDING`` and keeps its ring slot for the
+next attempt while the other walkers move on. Both forms make the same
+attempts with the same draws and cap, so engines stay bitwise-equal.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from repro.core import rng
 from repro.core.model import RandomWalkApp, WalkerType
 from repro.graph.csr import CSRGraph
 from repro.sampling import preprocess
-from repro.sampling.base import MAX_ATTEMPTS
+from repro.sampling.base import MAX_ATTEMPTS, PENDING
 
 
 def tables(csr: CSRGraph, app: RandomWalkApp) -> dict:
@@ -77,27 +83,23 @@ def generate_scalar(tab, s, d, row, key, probe, probed) -> int:
     return -1
 
 
-def generate_batch(tab, starts, counts, rows, keys, probe) -> np.ndarray:
-    """Vectorized dart-throwing over a ring, each walker bounded by
-    ``tab["pstar"][rows]``; one probe of ``tab["weights"]`` or of the
-    engine's ``probe`` per attempt wave."""
+def generate_batch(tab, starts, counts, rows, keys, probe, attempt) -> np.ndarray:
+    """One rejection attempt per walker over a ring, each at its own index
+    ``attempt`` and bounded by ``tab["pstar"][rows]``; one probe of
+    ``tab["weights"]`` or of the engine's ``probe`` for the whole ring.
+    A walker whose attempt a misses is ``PENDING`` while a + 1 <
+    ``MAX_ATTEMPTS``, else gives up (-1)."""
     pstar = tab["pstar"][rows]
     weights = tab.get("weights")
     sel = np.full(len(counts), -1, dtype=np.int64)
-    active = (counts > 0) & (pstar > 0)
-    for a in range(MAX_ATTEMPTS):
-        if not active.any():
-            break
-        ids = np.flatnonzero(active)
-        key, bound = keys[ids], pstar[ids]
-        x = rng.randint(key, 2 * a, counts[ids])
-        y = rng.uniform(key, 2 * a + 1) * bound
-        flat = starts[ids] + x
-        w = weights[flat] if weights is not None else probe(flat, ids)
-        over = w > bound
-        if over.any():
-            raise _bound_error(w[over][0], bound[over][0])
-        hit = y < w
-        sel[ids[hit]] = x[hit]
-        active[ids[hit]] = False
+    ids = np.flatnonzero((counts > 0) & (pstar > 0))
+    key, bound, a = keys[ids], pstar[ids], attempt[ids]
+    x = rng.randint(key, 2 * a, counts[ids])
+    y = rng.uniform(key, 2 * a + 1) * bound
+    flat = starts[ids] + x
+    w = weights[flat] if weights is not None else probe(flat, ids)
+    over = w > bound
+    if over.any():
+        raise _bound_error(w[over][0], bound[over][0])
+    sel[ids] = np.where(y < w, x, np.where(a + 1 < MAX_ATTEMPTS, PENDING, -1))
     return sel

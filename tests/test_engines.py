@@ -15,6 +15,7 @@ from repro.core import engine as eng
 from repro.core.engine import ENGINES, MAX_RING_SIZE, run_walks
 from repro.graph import generators as gen
 from repro.graph.csr import from_arrays
+from repro.sampling.base import MAX_ATTEMPTS
 
 SEED = 21
 
@@ -122,6 +123,53 @@ def test_orej_node2vec_refills_a_full_ring(small_graph):
         b = run_walks(small_graph, app, sources, engine="interleaved", seed=SEED, ring_size=k)
         assert b.meta["ring_size"] == k
         assert _paths_equal(a, b)
+
+
+REJECTION_CASES = [c for c in APP_CASES if c[0] in ("deepwalk", "node2vec") and c[1] in ("rej", "orej")]
+
+
+@pytest.mark.parametrize("algo,sampler,kw", REJECTION_CASES)
+def test_ring_attempts_equal_scalar_probes(algo, sampler, kw, small_graph, sources_small):
+    """The ring makes exactly the scalar loop's rejection attempts: its
+    ``attempts`` equals the candidates the scalar stepper probes, one per
+    attempt, on the same queries."""
+    app = _app(algo, sampler, kw, small_graph)
+    out = run_walks(small_graph, app, sources_small, engine="interleaved", seed=SEED, ring_size=7)
+    walkers, step = eng._make_scalar_stepper(small_graph, app, SEED)
+    probed = []
+    for w in walkers(np.arange(len(sources_small)), np.asarray(sources_small)):
+        while w.live:
+            step(w, probed)
+    assert out.meta["attempts"] == len(probed) > out.total_steps
+
+
+def _rejecting_graph():
+    """O-REJ's bound is the largest weight, 1.0 (edges 4 -> 1 and 5 -> 4).
+    Vertex 0's edges weigh 1e-9, so every attempt there misses and the
+    walker gives up; vertices 1-3 accept about one attempt in 20."""
+    src = [0, 0, 1, 1, 2, 2, 3, 3, 4, 5]
+    dst = [1, 2, 2, 3, 1, 3, 0, 1, 1, 4]
+    w = [1e-9, 1e-9, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 1.0, 1.0]
+    return from_arrays(src, dst, 6, weight=w)
+
+
+@pytest.mark.parametrize("ring_size", [1, 3])
+def test_ring_carries_pending_walkers(ring_size):
+    """Walkers still rejecting keep their ring slots while the others move,
+    finish and are refilled (more queries than slots). A give-up ends its
+    walk where it gave up after holding its slot for MAX_ATTEMPTS
+    iterations, and the walks equal the scalar loop's."""
+    g = _rejecting_graph()
+    app = _app("deepwalk", "orej", {"length": 6}, g)
+    sources = np.array([0, 1, 2, 3, 4, 5, 3, 1, 2])
+    a = run_walks(g, app, sources, engine="sequential", seed=SEED)
+    b = run_walks(g, app, sources, engine="interleaved", seed=SEED, ring_size=ring_size)
+    assert _paths_equal(a, b)
+    paths = b.paths()
+    assert paths[0].tolist() == [0]  # gave up at its source
+    assert all(0 not in p[:-1] for p in paths.values())  # every walk stops at its first 0
+    assert sum(p[-1] == 0 and 1 < len(p) <= 6 for p in paths.values()) > 1  # gave up mid-walk
+    assert b.meta["ring_iterations"] >= MAX_ATTEMPTS
 
 
 def test_asp_equals_sequential_unbiased(small_graph, sources_small):

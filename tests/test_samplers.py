@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import rng
 from repro.sampling import METHODS, SAMPLERS, alias, its, naive, orej, rej
-from repro.sampling.base import MAX_ATTEMPTS
+from repro.sampling.base import MAX_ATTEMPTS, PENDING
 
 SEED = 17
 
@@ -140,12 +140,28 @@ def test_naive_batch_matches_scalar():
     deg = np.array([3, 7, 1, 12] * 10)
     qids = np.arange(40)
     steps = np.full(40, 2)
-    batch = naive.generate_batch({}, np.zeros(40, dtype=np.int64), deg, qids, rng.key(SEED, qids, steps), None)
+    batch = naive.generate_batch({}, np.zeros(40, dtype=np.int64), deg, qids, rng.key(SEED, qids, steps), None,
+                                 np.zeros(40, dtype=np.int64))
     for i in range(40):
         assert batch[i] == naive.generate_scalar({}, 0, int(deg[i]), i, rng.key(SEED, i, 2), None, None)
 
 
 # --------------------------------------------- scalar == batch (all) -------
+
+def _drive_batch(rec, tab, starts, counts, rows, keys, probe):
+    """Batch generation as the ring engine drives it: each call makes one
+    rejection attempt per walker still in the step, at its own index, and
+    calls again for the pending walkers until none is left."""
+    sel = np.full(len(counts), PENDING, dtype=np.int64)
+    attempt = np.zeros(len(counts), dtype=np.int64)
+    todo = np.arange(len(counts))
+    while len(todo):
+        sel[todo] = rec.generate_batch(tab, starts[todo], counts[todo], rows[todo], keys[todo], probe,
+                                       attempt[todo])
+        attempt[todo] += 1
+        todo = todo[sel[todo] == PENDING]
+    return sel
+
 
 def _flat_tables(ws):
     """Concatenate per-walker segments the way the ring engine sees them."""
@@ -174,7 +190,7 @@ def test_batch_matches_scalar(method, step):
     else:
         tab = {}
     qids = np.arange(len(ws))
-    got = rec.generate_batch(tab, starts, counts, qids, rng.key(SEED, qids, step), None)
+    got = _drive_batch(rec, tab, starts, counts, qids, rng.key(SEED, qids, step), None)
     want = [rec.generate_scalar(tab, int(starts[i]), int(counts[i]), i, rng.key(SEED, i, step), None, None)
             for i in range(len(ws))]
     assert got.tolist() == want
@@ -202,8 +218,8 @@ def test_rej_equals_orej_with_table_probe(step):
     probe = lambda idx, rows: flat[idx]
     qids = np.arange(len(ws))
     steps = np.full(len(ws), step)
-    got = REJ.generate_batch(rtab, starts, counts, qids, rng.key(SEED, qids, steps), None)
-    want = orej.generate_batch(ptab, starts, counts, qids, rng.key(SEED, qids, steps), probe)
+    got = _drive_batch(REJ, rtab, starts, counts, qids, rng.key(SEED, qids, steps), None)
+    want = _drive_batch(orej, ptab, starts, counts, qids, rng.key(SEED, qids, steps), probe)
     assert np.array_equal(got, want)
     for i in range(len(ws)):
         s, d = int(starts[i]), int(counts[i])
@@ -221,5 +237,6 @@ def test_batch_draws_differ_across_walkers():
     """Walkers in one batch must not share random draws."""
     tab = _init_one(its, np.ones(50))
     got = its.generate_batch(tab, np.zeros(30, dtype=np.int64), np.full(30, 50),
-                             np.zeros(30, dtype=np.int64), rng.key(SEED, np.arange(30), 0), None)
+                             np.zeros(30, dtype=np.int64), rng.key(SEED, np.arange(30), 0), None,
+                             np.zeros(30, dtype=np.int64))
     assert len(np.unique(got)) > 10
